@@ -1,10 +1,15 @@
-"""Clamped B-spline curves on [0, 1] via the textbook basis recursion.
+"""Clamped B-spline curves on [0, 1] with a single-span Cox–de Boor evaluator.
 
-The basis is evaluated by the two-term recursion directly (no de Boor
-pyramid); 0/0 terms are dropped, and the final non-empty span is treated as
-closed so a curve interpolates its last control point at t = 1.
+Bisection finds the knot span of t; the degree+1 basis functions that do not
+vanish there are built bottom-up by the two-term recursion (Piegl & Tiller,
+*The NURBS Book*, A2.2).  The final non-empty span is closed, so a curve
+interpolates its last control point at t = 1.  Derivatives evaluate the
+hodograph, the degree-(k-1) curve with control points k (P[i+1] - P[i]) /
+(t[i+k+1] - t[i+1]) on the knots without the two end ones (de Boor, *A
+Practical Guide to Splines*, ch. X).
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,37 +72,49 @@ class KnotVector:
         return len(self.knots) - 2 * self.degree - 1
 
 
-def _basis(knots: tuple[float, ...], i: int, r: int, t: float) -> float:
-    if r == 0:
-        if knots[i] <= t < knots[i + 1]:
-            return 1.0
-        # final non-empty span is closed so that f(1) hits the last point
-        if t == knots[-1] and knots[i + 1] == knots[-1] and knots[i] < knots[i + 1]:
-            return 1.0
-        return 0.0
-    value = 0.0
-    den = knots[i + r] - knots[i]
-    if den > 0.0:
-        value += (t - knots[i]) / den * _basis(knots, i, r - 1, t)
-    den = knots[i + r + 1] - knots[i + 1]
-    if den > 0.0:
-        value += (knots[i + r + 1] - t) / den * _basis(knots, i + 1, r - 1, t)
-    return value
+def _nonzero_basis(knots: tuple[float, ...], degree: int, t: float) -> tuple[int, list[float]]:
+    """Index of the first basis function not zero at t, and the degree+1 values."""
+    span = min(bisect_right(knots, t), len(knots) - degree - 1) - 1  # t = 1: last span
+    values = [1.0]
+    for r in range(1, degree + 1):
+        row = []
+        for m, j in enumerate(range(span - r, span + 1)):
+            value = 0.0
+            if m > 0:
+                value += (t - knots[j]) / (knots[j + r] - knots[j]) * values[m - 1]
+            if m < r:
+                value += (knots[j + r + 1] - t) / (knots[j + r + 1] - knots[j + 1]) * values[m]
+            row.append(value)
+        values = row
+    return span - degree, values
 
 
-def _basis_derivative(knots: tuple[float, ...], i: int, r: int, t: float, order: int) -> float:
-    if order == 0:
-        return _basis(knots, i, r, t)
-    if r == 0:
-        return 0.0
-    value = 0.0
-    den = knots[i + r] - knots[i]
-    if den > 0.0:
-        value += r / den * _basis_derivative(knots, i, r - 1, t, order - 1)
-    den = knots[i + r + 1] - knots[i + 1]
-    if den > 0.0:
-        value -= r / den * _basis_derivative(knots, i + 1, r - 1, t, order - 1)
-    return value
+def _evaluate(knots: tuple[float, ...], degree: int, points: np.ndarray, t, order: int):
+    """order-th derivative at t, or at each of an array of t, of the curve with
+    these control points.  Each value sums its degree+1 terms in a fixed order,
+    not through BLAS, so it does not depend on the other parameters.
+    """
+    ts = np.asarray(t, dtype=float)
+    outside = ~((ts >= 0.0) & (ts <= 1.0))
+    if outside.any():
+        raise InvalidArgument(f"parameter {ts[outside].flat[0]} outside [0, 1]")
+    if order < 0:
+        raise InvalidArgument("derivative order must be >= 0")
+    shape = ts.shape + points.shape[1:]
+    if order > degree:
+        return np.zeros(shape)
+    for _ in range(order):
+        den = np.subtract(knots[degree + 1 : -1], knots[1 : len(points)])
+        points = degree * np.diff(points, axis=0) / den[:, None]
+        knots, degree = knots[1:-1], degree - 1
+    first = np.empty(ts.size, dtype=int)
+    values = np.empty((ts.size, degree + 1))
+    for row, u in enumerate(ts.ravel().tolist()):
+        first[row], values[row] = _nonzero_basis(knots, degree, u)
+    total = 0.0
+    for j in range(degree + 1):
+        total = total + values[:, j : j + 1] * points[first + j]
+    return total.reshape(shape)
 
 
 def basis(kv: KnotVector, i: int, t: float) -> float:
@@ -106,18 +123,16 @@ def basis(kv: KnotVector, i: int, t: float) -> float:
         raise InvalidArgument(f"basis index {i} out of range [0, {kv.point_count})")
     if not 0.0 <= t <= 1.0:
         raise InvalidArgument(f"parameter {t} outside [0, 1]")
-    return _basis(kv.knots, i, kv.degree, t)
+    first, values = _nonzero_basis(kv.knots, kv.degree, t)
+    return values[i - first] if first <= i <= first + kv.degree else 0.0
 
 
 def basis_derivative(kv: KnotVector, i: int, t: float, order: int = 1) -> float:
     """order-th derivative of the i-th basis function at t (left limit at t=1)."""
     if not 0 <= i < kv.point_count:
         raise InvalidArgument(f"basis index {i} out of range [0, {kv.point_count})")
-    if not 0.0 <= t <= 1.0:
-        raise InvalidArgument(f"parameter {t} outside [0, 1]")
-    if order < 0:
-        raise InvalidArgument("derivative order must be >= 0")
-    return _basis_derivative(kv.knots, i, kv.degree, t, order)
+    unit = np.eye(kv.point_count)[:, i : i + 1]
+    return float(_evaluate(kv.knots, kv.degree, unit, t, order)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,23 +164,13 @@ class BSplineCurve:
     def degree(self) -> int:
         return self.knots.degree
 
-    def point(self, t: float) -> np.ndarray:
-        """Curve position at t in [0, 1]."""
-        if not 0.0 <= t <= 1.0:
-            raise InvalidArgument(f"parameter {t} outside [0, 1]")
-        kn = self.knots.knots
-        k = self.knots.degree
-        weights = [_basis(kn, i, k, t) for i in range(len(self.points))]
-        return np.asarray(weights) @ self.points
+    def point(self, t) -> np.ndarray:
+        """Curve position at t in [0, 1]; an array of t gives one row per t."""
+        return _evaluate(self.knots.knots, self.degree, self.points, t, 0)
 
-    def derivative(self, t: float, order: int = 1) -> np.ndarray:
-        """order-th parametric derivative at t (left limit at t = 1)."""
-        if not 0.0 <= t <= 1.0:
-            raise InvalidArgument(f"parameter {t} outside [0, 1]")
-        kn = self.knots.knots
-        k = self.knots.degree
-        weights = [_basis_derivative(kn, i, k, t, order) for i in range(len(self.points))]
-        return np.asarray(weights) @ self.points
+    def derivative(self, t, order: int = 1) -> np.ndarray:
+        """order-th parametric derivative at t or an array of t (left limit at t = 1)."""
+        return _evaluate(self.knots.knots, self.degree, self.points, t, order)
 
     def end_tangents(self) -> tuple[np.ndarray, np.ndarray]:
         """Control-polygon legs (p1 - p0, p_last - p_second_last).
@@ -179,7 +184,7 @@ class BSplineCurve:
         """(count, dim) polyline at uniform parameters including both ends."""
         if count < 2:
             raise InvalidArgument(f"sample count must be >= 2, got {count}")
-        return np.vstack([self.point(t) for t in np.linspace(0.0, 1.0, count)])
+        return self.point(np.linspace(0.0, 1.0, count))
 
     def transformed(self, points: np.ndarray) -> "BSplineCurve":
         """Same knots, new control points."""

@@ -211,3 +211,10 @@ def main(argv=None) -> int:
     except GapsplineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except (OSError, UnicodeDecodeError) as exc:  # unreadable input, unwritable output
+        print(f"error: {exc}", file=sys.stderr)
+        return InvalidArgument.exit_code
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -44,17 +44,19 @@ class TopologyPlan:
     window_clamped: bool = False
 
 
-def signed_curvature(curve: BSplineCurve, t: float) -> float:
-    """(x'y'' - y'x'') / |f'|^3 from exact parametric derivatives."""
+def signed_curvature(curve: BSplineCurve, t):
+    """(x'y'' - y'x'') / |f'|^3 from exact parametric derivatives, at t or an
+    array of t; 0 where |f'|^3 < 1e-30.
+    """
     if curve.dim != 2:
         raise InvalidArgument("signed curvature is a planar notion")
     d1 = curve.derivative(t, 1)
     d2 = curve.derivative(t, 2)
-    speed_sq = float(d1 @ d1)
-    denom = speed_sq**1.5
-    if denom < 1e-30:
-        return 0.0
-    return float((d1[0] * d2[1] - d1[1] * d2[0]) / denom)
+    speed_sq = (d1 * d1).sum(axis=-1)
+    denom = speed_sq * np.sqrt(speed_sq)  # array and scalar ** 1.5 can differ
+    cross = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
+    kappa = np.divide(cross, denom, out=np.zeros(denom.shape), where=~(denom < 1e-30))
+    return kappa if kappa.ndim else float(kappa)
 
 
 def _cumulative_arc(curve: BSplineCurve) -> tuple[np.ndarray, np.ndarray]:
@@ -93,17 +95,9 @@ def _count_inflections(curve: BSplineCurve, window: float, end: str):
         t_lo, t_hi = _param_at_arc(ts, cum, total - span), 1.0
     else:
         t_lo, t_hi = 0.0, _param_at_arc(ts, cum, span)
-    count = 0
-    last_sign = 0
-    for t in np.linspace(t_lo, t_hi, CURVATURE_SAMPLES):
-        kappa = signed_curvature(curve, float(t))
-        if abs(kappa) < FLAT_CURVATURE:
-            continue
-        sign = 1 if kappa > 0.0 else -1
-        if last_sign and sign != last_sign:
-            count += 1
-        last_sign = sign
-    return count, clamped
+    kappa = signed_curvature(curve, np.linspace(t_lo, t_hi, CURVATURE_SAMPLES))
+    positive = kappa[~(np.abs(kappa) < FLAT_CURVATURE)] > 0.0
+    return int(np.count_nonzero(positive[1:] != positive[:-1])), clamped
 
 
 def count_inflections(curve: BSplineCurve, window: float, end: str = "tail") -> int:

@@ -1,8 +1,11 @@
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 
 from gapspline.bspline import BSplineCurve, KnotVector, basis, basis_derivative, make_knot_vector
 from gapspline.errors import InvalidArgument
+from gapspline.planner import signed_curvature
 
 KNOT_CASES = [
     make_knot_vector(3, 1),
@@ -155,3 +158,153 @@ def test_parameter_and_index_range_errors():
     c = BSplineCurve(kv, [(0, 0), (1, 1), (2, 2), (3, 3)])
     with pytest.raises(InvalidArgument):
         c.point(-0.1)
+    with pytest.raises(InvalidArgument):
+        c.point([0.5, 1.0 + 1e-12])
+    with pytest.raises(InvalidArgument):
+        c.derivative(0.5, -1)
+
+
+# ------------------------------------------------- the evaluator vs references
+
+
+def _reference_basis(knots, i, r, t):
+    """The textbook two-term recursion, with the final non-empty span closed."""
+    if r == 0:
+        if knots[i] <= t < knots[i + 1]:
+            return 1.0
+        if t == knots[-1] and knots[i + 1] == knots[-1] and knots[i] < knots[i + 1]:
+            return 1.0
+        return 0.0
+    value = 0.0
+    den = knots[i + r] - knots[i]
+    if den > 0.0:
+        value += (t - knots[i]) / den * _reference_basis(knots, i, r - 1, t)
+    den = knots[i + r + 1] - knots[i + 1]
+    if den > 0.0:
+        value += (knots[i + r + 1] - t) / den * _reference_basis(knots, i + 1, r - 1, t)
+    return value
+
+
+def _reference_basis_derivative(knots, i, r, t, order):
+    """Derivative by differentiating the recursion term by term."""
+    if order == 0:
+        return _reference_basis(knots, i, r, t)
+    if r == 0:
+        return 0.0
+    value = 0.0
+    den = knots[i + r] - knots[i]
+    if den > 0.0:
+        value += r / den * _reference_basis_derivative(knots, i, r - 1, t, order - 1)
+    den = knots[i + r + 1] - knots[i + 1]
+    if den > 0.0:
+        value -= r / den * _reference_basis_derivative(knots, i + 1, r - 1, t, order - 1)
+    return value
+
+
+def _knot_vectors():
+    """Uniform and random clamped knot vectors, degrees 1-5, 1-7 pieces."""
+    rng = np.random.default_rng(5)
+    for degree in range(1, 6):
+        for pieces in range(1, 8):
+            yield make_knot_vector(degree, pieces)
+            interior = tuple(np.sort(rng.uniform(0.02, 0.98, pieces - 1)))
+            yield KnotVector((0.0,) * (degree + 1) + interior + (1.0,) * (degree + 1), degree)
+
+
+def _parameters(kv, rng, count):
+    return [float(t) for t in rng.uniform(0.0, 1.0, count)] + sorted(set(kv.knots))
+
+
+def test_basis_equals_the_textbook_recursion_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for kv in _knot_vectors():
+        for t in _parameters(kv, rng, 8):
+            for i in range(kv.point_count):
+                assert basis(kv, i, t) == _reference_basis(kv.knots, i, kv.degree, t)
+
+
+def test_basis_derivative_matches_the_differentiated_recursion():
+    rng = np.random.default_rng(19)
+    for kv in list(_knot_vectors())[::3]:
+        for t in _parameters(kv, rng, 3):
+            for order in range(1, kv.degree + 2):
+                got = [basis_derivative(kv, i, t, order) for i in range(kv.point_count)]
+                want = [
+                    _reference_basis_derivative(kv.knots, i, kv.degree, t, order)
+                    for i in range(kv.point_count)
+                ]
+                scale = max(1.0, max(abs(w) for w in want))
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+
+def _insert_knot(curve, u):
+    """Boehm's insertion of the knot u; the curve itself is unchanged."""
+    kn, k, p = curve.knots.knots, curve.degree, curve.points
+    s = bisect_right(kn, u) - 1
+    q = []
+    for i in range(len(p) + 1):
+        if i <= s - k:
+            q.append(p[i])
+        elif i > s:
+            q.append(p[i - 1])
+        else:
+            a = (u - kn[i]) / (kn[i + k] - kn[i])
+            q.append(a * p[i] + (1.0 - a) * p[i - 1])
+    return BSplineCurve(KnotVector(kn[: s + 1] + (u,) + kn[s + 1 :], k), np.array(q))
+
+
+def test_knot_insertion_leaves_points_and_derivatives_unchanged():
+    rng = np.random.default_rng(23)
+    for kv in list(_knot_vectors())[::2]:
+        curve = BSplineCurve(kv, rng.normal(size=(kv.point_count, 2)))
+        refined = curve
+        for u in rng.uniform(0.05, 0.95, 3):
+            if u not in refined.knots.knots:
+                refined = _insert_knot(refined, float(u))
+        ts = np.array(_parameters(kv, rng, 40))
+        for order in range(4):
+            want = curve.derivative(ts, order)
+            scale = max(1.0, np.abs(want).max())
+            got = refined.derivative(ts, order)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+
+def test_array_calls_equal_scalar_calls_exactly():
+    rng = np.random.default_rng(29)
+    kv = KnotVector((0, 0, 0, 0, 0.2, 0.45, 0.7, 1, 1, 1, 1), 3)
+    curve = BSplineCurve(kv, rng.normal(size=(kv.point_count, 2)))
+    ts = np.linspace(0.0, 1.0, 57)
+    samples = curve.sample(57)
+    kappa = signed_curvature(curve, ts)
+    assert isinstance(signed_curvature(curve, 0.3), float)
+    for order in (1, 2, 3):
+        rows = curve.derivative(ts, order)
+        assert all((rows[a] == curve.derivative(ts[a], order)).all() for a in range(len(ts)))
+    for a, t in enumerate(ts):
+        assert (samples[a] == curve.point(t)).all()
+        assert kappa[a] == signed_curvature(curve, t)
+
+
+def test_highest_derivative_is_right_continuous_and_a_left_limit_at_one():
+    rng = np.random.default_rng(31)
+    curve = BSplineCurve(make_knot_vector(3, 2), rng.normal(size=(5, 2)))
+    # a cubic's third forward difference is h^3 times its constant third derivative
+    def piece_constant(t0, h=0.1):
+        return np.diff(curve.point(t0 + h * np.arange(4)), n=3, axis=0)[0] / h**3
+
+    left, right = piece_constant(0.05), piece_constant(0.55)
+    assert np.abs(left - right).min() > 1e-3
+    np.testing.assert_allclose(curve.derivative(0.5, 3), right, rtol=1e-9)
+    np.testing.assert_allclose(curve.derivative(1.0, 3), right, rtol=1e-9)
+    np.testing.assert_allclose(curve.derivative(0.25, 3), left, rtol=1e-9)
+
+
+def test_derivative_order_above_degree_is_zero():
+    rng = np.random.default_rng(37)
+    for degree in (1, 3):
+        kv = make_knot_vector(degree, 2)
+        curve = BSplineCurve(kv, rng.normal(size=(kv.point_count, 3)))
+        ts = np.linspace(0.0, 1.0, 9)
+        assert (curve.derivative(ts, degree + 1) == 0.0).all()
+        assert curve.derivative(ts, degree + 1).shape == (9, 3)
+        assert basis_derivative(kv, 1, 0.5, degree + 1) == 0.0

@@ -1,10 +1,15 @@
-"""End-to-end command-line checks, run in process via main(argv)."""
+"""End-to-end command-line checks, run in process via main(argv), and once as `python -m`."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gapspline
 from gapspline import SceneDocument, read_csv, read_solution, write_scene
 from gapspline.cli import main
 
@@ -154,6 +159,40 @@ def test_solve_reruns_are_byte_identical(tmp_path):
     b = tmp_path / "again.json"
     main(["solve", EX1, "-o", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_module_entry_point_writes_the_solution(tmp_path):
+    out = tmp_path / "module.json"
+    src = str(Path(gapspline.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "gapspline.cli", "solve", EX1, "-o", str(out)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    _, expected = _solve_to(tmp_path)
+    assert out.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "{tmp}/missing.json"],
+        ["solve", EX1, "-o", "{tmp}/no/such/dir/out.json"],
+        ["render", EX1, "--solution", "{tmp}/missing.json"],
+        ["solve", "{tmp}/binary.json"],
+    ],
+    ids=["missing-scene", "unwritable-output", "missing-solution", "non-utf8-scene"],
+)
+def test_file_errors_exit_2_with_one_line(tmp_path, capsys, argv):
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe{")
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 # ------------------------------------------------------------------- eval
