@@ -51,6 +51,7 @@ from .formats import (
     read_scene,
     read_solution,
     solution_curve_from_document,
+    transform_payload,
     write_csv,
     write_scene,
     write_solution,
@@ -131,6 +132,7 @@ __all__ = [
     "write_solution",
     "solution_curve_from_document",
     "curve_payload",
+    "transform_payload",
     "write_csv",
     "read_csv",
     "emit_json",

@@ -14,6 +14,7 @@ from .formats import (
     read_scene,
     read_solution,
     solution_curve_from_document,
+    transform_payload,
     write_csv,
     write_solution,
 )
@@ -186,10 +187,7 @@ def cmd_normalize(args) -> int:
     payload = {
         "dim": normalized.dim,
         "gap": normalized.gap,
-        "transform": {
-            "rotation": [list(row) for row in normalized.transform.rotation],
-            "translation": list(normalized.transform.translation),
-        },
+        "transform": transform_payload(normalized.transform),
         "left": curve_payload(normalized.left),
         "right": curve_payload(normalized.right),
     }

@@ -138,6 +138,13 @@ def curve_payload(curve: BSplineCurve) -> dict:
     }
 
 
+def transform_payload(transform: RigidTransform) -> dict:
+    return {
+        "rotation": [list(row) for row in transform.rotation],
+        "translation": list(transform.translation),
+    }
+
+
 def write_scene(doc: SceneDocument) -> str:
     payload = {
         "version": SCENE_VERSION,
@@ -153,13 +160,6 @@ def write_scene(doc: SceneDocument) -> str:
     if doc.lagrangian_text is not None:
         payload["lagrangian"] = doc.lagrangian_text
     return emit_json(payload) + "\n"
-
-
-def _transform_payload(transform: RigidTransform) -> dict:
-    return {
-        "rotation": [list(row) for row in transform.rotation],
-        "translation": list(transform.translation),
-    }
 
 
 def write_solution(
@@ -190,7 +190,7 @@ def write_solution(
         "start_used": solution.start_used,
         "normalized_points": [list(p) for p in solution.control_points],
         "original_points": [list(p) for p in original],
-        "transform": _transform_payload(transform),
+        "transform": transform_payload(transform),
         "plan": plan_echo,
     }
     return emit_json(payload) + "\n"

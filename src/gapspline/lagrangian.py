@@ -306,16 +306,13 @@ def leaf_point_span(expr: Expr) -> tuple[int, int]:
     return lo, hi
 
 
-def validate_lagrangian(expr: Expr, dim: int, table: DifferenceTable | None = None):
-    """Dimension/type checks; with a table, also range-check every leaf."""
+def validate_lagrangian(expr: Expr, dim: int):
+    """Dimension/type checks: trip() needs 3D, and some leaf must exist."""
     if dim not in (2, 3):
         raise InvalidArgument(f"dim must be 2 or 3, got {dim}")
     if dim == 2 and _contains_trip(expr):
         raise DslTypeError("trip() is a triple product and needs a 3D scene")
     leaf_point_span(expr)  # raises on leaf-free expressions
-    if table is not None:
-        for leaf in lagrangian_leaves(expr):
-            table.invariant(leaf.index, leaf.order)
 
 
 def _contains_trip(node: Expr) -> bool:
@@ -329,85 +326,69 @@ def _contains_trip(node: Expr) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# evaluation and exact gradients
+# evaluation and exact derivatives
 # ---------------------------------------------------------------------------
+
+
+def lagrangian_jet(expr: Expr, leaf) -> tuple:
+    """Value, gradient and Hessian of the Lagrangian in some m parameters.
+
+    ``leaf(diff)`` returns ``(I, A)``: the leaf's vector value and its
+    constant (dim, m) derivative, so every leaf is affine in the parameters.
+    Dot and trip are then exact quadratic or cubic forms in them, and
+    products follow the pairwise product rule; the Hessian is symmetric bit
+    for bit.  A Number's derivatives are the scalar 0.0, which broadcasts.
+    """
+    if isinstance(expr, Number):
+        return expr.value, 0.0, 0.0
+    if isinstance(expr, Dot):
+        (a, A), (b, B) = leaf(expr.left), leaf(expr.right)
+        S = A.T @ B
+        return a @ b, A.T @ b + B.T @ a, S + S.T
+    if isinstance(expr, Trip):
+        (a, A), (b, B), (c, C) = leaf(expr.left), leaf(expr.middle), leaf(expr.right)
+        if len(a) != 3:
+            raise DslTypeError("trip() needs 3D leaves")
+        # d2/da db of (a x b).c is skew(c).T, where skew(v) w = v x w
+        S = A.T @ _skew(c).T @ B + B.T @ _skew(a).T @ C + C.T @ _skew(b).T @ A
+        grad = A.T @ np.cross(b, c) + B.T @ np.cross(c, a) + C.T @ np.cross(a, b)
+        return np.cross(a, b) @ c, grad, S + S.T
+    if isinstance(expr, Sum):
+        jets = [lagrangian_jet(t, leaf) for t in expr.terms]
+        # value, gradient and Hessian each summed over the terms, in order
+        return tuple(sum(parts[1:], parts[0]) for parts in zip(*jets))
+    if isinstance(expr, Product):
+        v, g, H = lagrangian_jet(expr.factors[0], leaf)
+        for f in expr.factors[1:]:
+            w, h, K = lagrangian_jet(f, leaf)
+            O = np.outer(g, h)
+            v, g, H = v * w, v * h + w * g, v * K + w * H + (O + O.T)
+        return v, g, H
+    raise InvalidArgument(f"cannot evaluate node {expr!r}")
+
+
+def _skew(v: np.ndarray) -> np.ndarray:
+    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
 
 
 def eval_lagrangian(expr: Expr, table: DifferenceTable) -> float:
     """Scalar value of the Lagrangian on the given difference table."""
-    return _eval(expr, table)
-
-
-def _eval(node: Expr, table: DifferenceTable) -> float:
-    if isinstance(node, Number):
-        return node.value
-    if isinstance(node, Dot):
-        a = table.invariant(node.left.index, node.left.order)
-        b = table.invariant(node.right.index, node.right.order)
-        return float(a @ b)
-    if isinstance(node, Trip):
-        a = table.invariant(node.left.index, node.left.order)
-        b = table.invariant(node.middle.index, node.middle.order)
-        c = table.invariant(node.right.index, node.right.order)
-        if table.dim != 3:
-            raise DslTypeError("trip() needs a 3D table")
-        return float(np.cross(a, b) @ c)
-    if isinstance(node, Sum):
-        return sum(_eval(t, table) for t in node.terms)
-    if isinstance(node, Product):
-        out = 1.0
-        for f in node.factors:
-            out *= _eval(f, table)
-        return out
-    raise InvalidArgument(f"cannot evaluate node {node!r}")
+    no_params = np.zeros((table.dim, 0))
+    return float(lagrangian_jet(expr, lambda d: (table.invariant(d.index, d.order), no_params))[0])
 
 
 def leaf_partials(expr: Expr, table: DifferenceTable) -> dict[tuple[int, int], np.ndarray]:
     """dL/dI_{index,order} accumulated per (order, index) leaf, as vectors."""
-    out: dict[tuple[int, int], np.ndarray] = {}
-    _backprop(expr, 1.0, table, out)
-    return out
+    keys = list(dict.fromkeys((d.order, d.index) for d in lagrangian_leaves(expr)))
+    dim = table.dim
+    eye = np.eye(len(keys) * dim)
 
+    def leaf(d: Diff):
+        k = keys.index((d.order, d.index))
+        return table.invariant(d.index, d.order), eye[k * dim : (k + 1) * dim]
 
-def _accumulate(out, leaf: Diff, vec: np.ndarray):
-    key = (leaf.order, leaf.index)
-    if key in out:
-        out[key] = out[key] + vec
-    else:
-        out[key] = vec
-
-
-def _backprop(node: Expr, cot: float, table: DifferenceTable, out: dict):
-    if isinstance(node, Number):
-        return
-    if isinstance(node, Dot):
-        a = table.invariant(node.left.index, node.left.order)
-        b = table.invariant(node.right.index, node.right.order)
-        _accumulate(out, node.left, cot * b)
-        _accumulate(out, node.right, cot * a)
-        return
-    if isinstance(node, Trip):
-        a = table.invariant(node.left.index, node.left.order)
-        b = table.invariant(node.middle.index, node.middle.order)
-        c = table.invariant(node.right.index, node.right.order)
-        _accumulate(out, node.left, cot * np.cross(b, c))
-        _accumulate(out, node.middle, cot * np.cross(c, a))
-        _accumulate(out, node.right, cot * np.cross(a, b))
-        return
-    if isinstance(node, Sum):
-        for t in node.terms:
-            _backprop(t, cot, table, out)
-        return
-    if isinstance(node, Product):
-        vals = [_eval(f, table) for f in node.factors]
-        for j, f in enumerate(node.factors):
-            partial = cot
-            for k, v in enumerate(vals):
-                if k != j:
-                    partial *= v
-            _backprop(f, partial, table, out)
-        return
-    raise InvalidArgument(f"cannot differentiate node {node!r}")
+    grad = np.broadcast_to(lagrangian_jet(expr, leaf)[1], eye.shape[:1])
+    return dict(zip(keys, grad.reshape(len(keys), dim)))
 
 
 def grad_lagrangian(

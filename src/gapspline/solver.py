@@ -39,6 +39,12 @@ class SolverConfig:
             raise InvalidArgument(f"max_iters must be >= 1, got {self.max_iters}")
         if not 0.0 < self.damping < 1.0:
             raise InvalidArgument("damping factor must be in (0, 1)")
+        if not self.min_step > 0.0:
+            raise InvalidArgument(f"min_step must be positive, got {self.min_step}")
+        if not self.start_scales or not all(s > 0.0 for s in self.start_scales):
+            raise InvalidArgument(
+                f"start_scales must be non-empty and positive, got {self.start_scales}"
+            )
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,8 +12,8 @@ so the control polygon continues each data polygon's end leg.  Remaining
 interior points are free coordinates, optionally reduced further by linear
 coordinate ties.  The residual of the reduced system is the exact gradient of
 the Lagrangian with respect to the reduced unknowns u = (alpha, beta, free
-coordinates); the map u -> control points is affine, so the chain-rule factor
-is a constant matrix built once per layout.
+coordinates); the map u -> control points is affine, so every difference leaf
+is affine in u as well, with constant maps built once per system.
 """
 
 from dataclasses import dataclass
@@ -24,9 +24,7 @@ from .bspline import BSplineCurve, make_knot_vector
 from .errors import BalanceError, DegenerateScene, InvalidArgument
 from .lagrangian import (
     Expr,
-    build_difference_table,
-    eval_lagrangian,
-    grad_lagrangian,
+    lagrangian_jet,
     lagrangian_leaves,
     leaf_point_span,
     validate_lagrangian,
@@ -144,13 +142,19 @@ def _middle_point(point_count: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class UnknownLayout:
-    """Reduced unknowns and the affine map back to control points."""
+    """Reduced unknowns and the affine map back to control points.
+
+    The connecting curve's control points are ``offset + sum_k u[k] basis[k]``
+    with constant ``offset`` (n, dim) and ``basis`` (unknown_count, n, dim);
+    the tangency ties, free coordinates and coordinate ties are all in them.
+    """
 
     normalized: NormalizedScene
     point_count: int
     ties: tuple[CoordinateTie, ...]
     free_coords: tuple[tuple[int, int], ...]
-    literal_beta_tie: bool
+    offset: np.ndarray
+    basis: np.ndarray
     # constant directions multiplying alpha / beta
     alpha_direction: np.ndarray
     beta_direction: np.ndarray
@@ -178,38 +182,35 @@ class UnknownLayout:
     def interior_indices(self) -> range:
         return range(2, self.point_count)
 
-    def solution_points(self, u: np.ndarray) -> np.ndarray:
-        """All connecting-curve control points for unknowns u, (n, dim)."""
+    def check_unknowns(self, u: np.ndarray) -> np.ndarray:
+        """u as a float vector, checked against unknown_count."""
         u = np.asarray(u, dtype=float)
         if u.shape != (self.unknown_count,):
             raise InvalidArgument(
                 f"expected {self.unknown_count} unknowns, got shape {u.shape}"
             )
-        n = self.point_count
+        return u
+
+    def solution_points(self, u: np.ndarray) -> np.ndarray:
+        """All connecting-curve control points for unknowns u, (n, dim)."""
+        return self.offset + np.tensordot(self.check_unknowns(u), self.basis, axes=1)
+
+    def sequence_map(self) -> tuple[np.ndarray, np.ndarray]:
+        """(offset, basis) of the whole sequence, left data to right data.
+
+        Base point j of the sequence carries index ``first_index + j``.
+        """
         left = self.normalized.left.points
         right = self.normalized.right.points
-        q1 = left[-1]
-        qn = right[0]
-        pts = np.zeros((n, self.dim))
-        pts[0] = q1
-        pts[-1] = qn
-        pts[1] = q1 + u[0] * self.alpha_direction
-        tail = qn if not self.literal_beta_tie else 0.0
-        pts[n - 2] = tail + u[1] * self.beta_direction
-        for k, (pt, c) in enumerate(self.free_coords):
-            pts[pt - 1, c] = u[2 + k]
-        for tie in self.ties:
-            pts[tie.point - 1, tie.coord] = tie.scale * sum(
-                pts[p - 1, c] for p, c in tie.sources
-            )
-        return pts
+        offset = np.vstack([left, self.offset[1:-1], right])
+        basis = np.zeros((self.unknown_count, len(offset), self.dim))
+        basis[:, len(left) : len(offset) - len(right)] = self.basis[:, 1:-1]
+        return offset, basis
 
     def full_sequence(self, u: np.ndarray) -> np.ndarray:
         """Left data, connecting interior, right data, concatenated."""
-        pts = self.solution_points(u)
-        return np.vstack(
-            [self.normalized.left.points, pts[1:-1], self.normalized.right.points]
-        )
+        offset, basis = self.sequence_map()
+        return offset + np.tensordot(self.check_unknowns(u), basis, axes=1)
 
     def solution_curve(self, u: np.ndarray) -> BSplineCurve:
         scene = self.normalized.original
@@ -218,17 +219,7 @@ class UnknownLayout:
 
     def interior_jacobian(self) -> np.ndarray:
         """d(interior points)/d(unknowns): (unknown_count, n-2, dim), constant."""
-        n = self.point_count
-        J = np.zeros((self.unknown_count, n - 2, self.dim))
-        J[0, 0] = self.alpha_direction
-        J[1, n - 3] = self.beta_direction
-        for k, (pt, c) in enumerate(self.free_coords):
-            J[2 + k, pt - 2, c] = 1.0
-        for tie in self.ties:
-            for p, c in tie.sources:
-                if 2 <= p <= n - 1:
-                    J[:, tie.point - 2, tie.coord] += tie.scale * J[:, p - 2, c]
-        return J
+        return self.basis[:, 1:-1]
 
 
 def build_layout(
@@ -286,12 +277,27 @@ def build_layout(
         for c in range(dim)
         if (pt, c) not in tied
     )
+    # maps[0] is the offset, maps[1 + k] the basis of unknown k
+    maps = np.zeros((3 + len(free), n, dim))
+    maps[0, [0, 1]] = left[-1]
+    maps[0, [n - 2, n - 1]] = right[0]
+    if literal_beta_tie:
+        maps[0, n - 2] = 0.0
+    maps[1, 1] = alpha_dir
+    maps[2, n - 2] = beta_dir
+    for k, (pt, c) in enumerate(free):
+        maps[3 + k, pt - 1, c] = 1.0
+    for tie in ties:
+        maps[:, tie.point - 1, tie.coord] = tie.scale * sum(
+            maps[:, p - 1, c] for p, c in tie.sources
+        )
     return UnknownLayout(
         normalized=normalized,
         point_count=n,
         ties=ties,
         free_coords=free,
-        literal_beta_tie=literal_beta_tie,
+        offset=maps[0],
+        basis=maps[1:],
         alpha_direction=alpha_dir,
         beta_direction=beta_dir,
     )
@@ -300,30 +306,30 @@ def build_layout(
 class ResidualSystem:
     """Stationarity residual of the Lagrangian in the reduced unknowns.
 
-    residual(u) is the exact gradient of eval_lagrangian at the reconstructed
-    control sequence, pulled back through the constant interior Jacobian; the
-    Newton matrix is a central finite difference of that exact residual.
+    Every leaf D<order>(<index>) is affine in u, ``I = b + A @ u``, because
+    the control sequence is and differencing is linear; (b, A) is built once
+    per distinct leaf.  action, residual and jacobian are then the value,
+    exact gradient and exact Hessian of one jet of the Lagrangian at u.
     """
 
     def __init__(self, layout: UnknownLayout, lagrangian: Expr):
         validate_lagrangian(lagrangian, layout.dim)
         self.layout = layout
         self.lagrangian = lagrangian
-        self.max_order = max(leaf.order for leaf in lagrangian_leaves(lagrangian))
-        self._J = layout.interior_jacobian()
 
         first = layout.first_index
-        total = len(layout.normalized.left.points) + (layout.point_count - 2) + len(
-            layout.normalized.right.points
-        )
+        offset, basis = layout.sequence_map()
+        total = len(offset)
         lo, hi = leaf_point_span(lagrangian)
         if lo < first or hi > first + total - 1:
             raise InvalidArgument(
                 f"Lagrangian reads points {lo}..{hi}, but the scene only provides "
                 f"{first}..{first + total - 1}"
             )
-        if self.max_order >= total:
-            raise InvalidArgument("difference order exceeds the point sequence")
+        keys = dict.fromkeys((leaf.order, leaf.index) for leaf in lagrangian_leaves(lagrangian))
+        self._slot = {key: k for k, key in enumerate(keys)}
+        self._b = np.array([np.diff(offset, l, axis=0)[i - first] for l, i in keys])
+        self._A = np.array([np.diff(basis, l, axis=1)[:, i - first].T for l, i in keys])
         self._check_balance()
 
     @property
@@ -331,56 +337,35 @@ class ResidualSystem:
         return self.layout.unknown_count
 
     def _check_balance(self):
-        # structural influence: an unknown nothing in L depends on makes its
-        # stationarity equation 0 = 0 and Newton singular
-        spans = set()
-        for leaf in lagrangian_leaves(self.lagrangian):
-            spans.update(range(leaf.index, leaf.index + leaf.order + 1))
-        layout = self.layout
-        seen = {i for i in layout.interior_indices if i in spans}
-        dead = []
-        for k in range(layout.unknown_count):
-            moved = {
-                pos + 2
-                for pos in range(layout.point_count - 2)
-                if np.any(self._J[k, pos] != 0.0)
-            }
-            if not moved & seen:
-                dead.append(layout.names[k])
-        effective = layout.unknown_count - len(dead)
+        # an unknown no leaf depends on makes its stationarity equation
+        # 0 = 0 and Newton singular
+        seen = self._A.any(axis=(0, 1))
+        dead = [name for name, s in zip(self.layout.names, seen) if not s]
         if dead:
             raise BalanceError(
-                layout.unknown_count,
-                effective,
+                self.unknown_count,
+                self.unknown_count - len(dead),
                 f"the Lagrangian never sees unknown(s) {', '.join(dead)}",
             )
 
-    def _table(self, u: np.ndarray):
-        seq = self.layout.full_sequence(u)
-        return build_difference_table(seq, self.max_order, self.layout.first_index)
+    def _jet(self, u: np.ndarray):
+        values = self._b + self._A @ self.layout.check_unknowns(u)
+
+        def leaf(d):
+            k = self._slot[d.order, d.index]
+            return values[k], self._A[k]
+
+        return lagrangian_jet(self.lagrangian, leaf)
 
     def action(self, u: np.ndarray) -> float:
         """Lagrangian value at the reconstruction."""
-        return eval_lagrangian(self.lagrangian, self._table(u))
+        return float(self._jet(u)[0])
 
     def residual(self, u: np.ndarray) -> np.ndarray:
-        table = self._table(u)
-        interior = list(self.layout.interior_indices)
-        g = grad_lagrangian(self.lagrangian, table, interior)
-        return np.einsum("kid,id->k", self._J, g)
+        return self._jet(u)[1]
 
     def jacobian(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        m = self.unknown_count
-        out = np.zeros((m, m))
-        for i in range(m):
-            h = 1e-7 * (abs(u[i]) + 1.0)
-            up = u.copy()
-            up[i] += h
-            down = u.copy()
-            down[i] -= h
-            out[:, i] = (self.residual(up) - self.residual(down)) / (2.0 * h)
-        return out
+        return self._jet(u)[2]
 
     def bending_energy(self, u: np.ndarray) -> float:
         """Total squared second difference of the solution control polygon."""

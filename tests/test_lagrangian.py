@@ -115,6 +115,8 @@ def test_trip_requires_3d():
     with pytest.raises(DslTypeError):
         validate_lagrangian(e, 2)
     validate_lagrangian(e, 3)
+    with pytest.raises(DslTypeError):
+        eval_lagrangian(e, build_difference_table(np.zeros((6, 2)), 3))
 
 
 def test_leaf_point_span():

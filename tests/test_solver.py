@@ -33,6 +33,13 @@ def test_config_validation():
         SolverConfig(max_iters=0)
     with pytest.raises(InvalidArgument):
         SolverConfig(damping=1.0)
+    # a zero floor lets the backtracking step underflow to 0.0 and loop
+    with pytest.raises(InvalidArgument):
+        SolverConfig(min_step=0.0)
+    with pytest.raises(InvalidArgument):
+        SolverConfig(start_scales=())
+    with pytest.raises(InvalidArgument):
+        SolverConfig(start_scales=(1.0, 0.0))
 
 
 def test_default_guess_thirds_rule(straight_scene):
@@ -85,15 +92,14 @@ def test_start_grid_seed_jitter_is_reproducible(scene_2d):
 
 
 def test_newton_solves_linear_system_almost_immediately(scene_2d):
-    # dot(D1(1),D1(3)) has a linear gradient; with finite-difference
-    # Jacobians the first full step lands within roundoff of the stationary
-    # point and one polish step certifies it.
+    # dot(D1(1),D1(3)) has a linear gradient, so one exact Newton step
+    # lands on the stationary point.
     system = _system(scene_2d, L_EX2)
     u, iterations, converged, norm = newton(
         system, np.array([0.9, 1.7]), SolverConfig()
     )
     assert converged
-    assert iterations <= 2
+    assert iterations == 1
     np.testing.assert_allclose(u, [0.0, 0.0], atol=1e-9)
 
 

@@ -12,9 +12,11 @@ from gapspline import (
     NormalizedScene,
     ResidualSystem,
     Scene,
+    build_difference_table,
     build_layout,
     case1_tie,
     case2_tie,
+    grad_lagrangian,
     make_knot_vector,
     normalize_scene,
     parse_lagrangian,
@@ -249,7 +251,8 @@ def test_interior_jacobian_matches_finite_differences(scene_2d):
 # ---------------------------------------------------------------- system
 
 
-def test_residual_matches_action_gradient(scene_2d, scene_3d):
+def _derivative_cases(scene_2d, scene_3d):
+    """2D, both tie kinds and 3D trip systems, each with 5 random points u."""
     cases = [
         (normalize_scene(scene_2d), (), L_EX1),
         (normalize_scene(scene_2d.with_topology(3, 2)), (case1_tie(),), L_PLANNER),
@@ -258,19 +261,43 @@ def test_residual_matches_action_gradient(scene_2d, scene_3d):
     ]
     rng = np.random.default_rng(21)
     for norm, ties, text in cases:
-        layout = build_layout(norm, ties)
-        system = ResidualSystem(layout, parse_lagrangian(text))
+        system = ResidualSystem(build_layout(norm, ties), parse_lagrangian(text))
         for _ in range(5):
-            u = rng.normal(scale=0.8, size=layout.unknown_count)
-            r = system.residual(u)
-            fd = np.empty_like(r)
-            for k in range(layout.unknown_count):
-                h = 1e-6 * (abs(u[k]) + 1.0)
-                e = np.zeros(layout.unknown_count)
-                e[k] = h
-                fd[k] = (system.action(u + e) - system.action(u - e)) / (2 * h)
-            scale = max(1.0, float(np.max(np.abs(r))))
-            np.testing.assert_allclose(r / scale, fd / scale, atol=1e-6)
+            yield system, rng.normal(scale=0.8, size=system.unknown_count)
+
+
+def _central_difference(f, u):
+    """Columns (f(u + h e_k) - f(u - h e_k)) / 2h, h = 1e-6 (|u_k| + 1)."""
+    cols = []
+    for k in range(len(u)):
+        e = np.zeros(len(u))
+        e[k] = 1e-6 * (abs(u[k]) + 1.0)
+        cols.append((np.asarray(f(u + e)) - np.asarray(f(u - e))) / (2 * e[k]))
+    return np.array(cols).T
+
+
+def test_residual_matches_action_gradient(scene_2d, scene_3d):
+    for system, u in _derivative_cases(scene_2d, scene_3d):
+        layout = system.layout
+        r = system.residual(u)
+        fd = _central_difference(system.action, u)
+        scale = max(1.0, float(np.max(np.abs(r))))
+        np.testing.assert_allclose(r / scale, fd / scale, atol=1e-6)
+        # the level-adjoint gradient on the rebuilt point sequence, pulled
+        # back through the constant interior Jacobian
+        table = build_difference_table(layout.full_sequence(u), 3, layout.first_index)
+        g = grad_lagrangian(system.lagrangian, table, list(layout.interior_indices))
+        pulled = np.einsum("kid,id->k", layout.interior_jacobian(), g)
+        assert np.max(np.abs(r - pulled)) / scale < 1e-9
+
+
+def test_jacobian_is_the_symmetric_derivative_of_the_residual(scene_2d, scene_3d):
+    for system, u in _derivative_cases(scene_2d, scene_3d):
+        jac = system.jacobian(u)
+        np.testing.assert_array_equal(jac, jac.T)
+        fd = _central_difference(system.residual, u)
+        scale = max(1.0, float(np.max(np.abs(jac))))
+        assert np.max(np.abs(jac - fd)) / scale < 1e-6
 
 
 def test_straight_line_reconstruction_has_zero_residual(straight_scene):
