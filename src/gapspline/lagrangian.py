@@ -333,26 +333,30 @@ def _contains_trip(node: Expr) -> bool:
 def lagrangian_jet(expr: Expr, leaf) -> tuple:
     """Value, gradient and Hessian of the Lagrangian in some m parameters.
 
-    ``leaf(diff)`` returns ``(I, A)``: the leaf's vector value and its
-    constant (dim, m) derivative, so every leaf is affine in the parameters.
-    Dot and trip are then exact quadratic or cubic forms in them, and
-    products follow the pairwise product rule; the Hessian is symmetric bit
-    for bit.  A Number's derivatives are the scalar 0.0, which broadcasts.
+    ``leaf(diff)`` returns ``(I, A)``: the leaf's vector values, shape
+    (..., dim) for any leading batch shape, and their constant (dim, m)
+    derivative, so every leaf is affine in the parameters.  The jet holds
+    value (...), gradient (..., m) and Hessian (..., m, m), each row computed
+    as if alone.  Dot and trip are exact quadratic or cubic forms in the
+    leaves, and products follow the pairwise product rule; every Hessian row
+    is symmetric bit for bit.  A Number's derivatives are zeros of shape (1,)
+    and (1, 1), which broadcast against any batch and any m.
     """
     if isinstance(expr, Number):
-        return expr.value, 0.0, 0.0
+        return np.float64(expr.value), np.zeros(1), np.zeros((1, 1))
     if isinstance(expr, Dot):
         (a, A), (b, B) = leaf(expr.left), leaf(expr.right)
         S = A.T @ B
-        return a @ b, A.T @ b + B.T @ a, S + S.T
+        H = np.broadcast_to(S + S.T, a.shape[:-1] + S.shape)
+        return _dot(a, b), _pull(A, b) + _pull(B, a), H
     if isinstance(expr, Trip):
         (a, A), (b, B), (c, C) = leaf(expr.left), leaf(expr.middle), leaf(expr.right)
-        if len(a) != 3:
+        if a.shape[-1] != 3:
             raise DslTypeError("trip() needs 3D leaves")
-        # d2/da db of (a x b).c is skew(c).T, where skew(v) w = v x w
-        S = A.T @ _skew(c).T @ B + B.T @ _skew(a).T @ C + C.T @ _skew(b).T @ A
-        grad = A.T @ np.cross(b, c) + B.T @ np.cross(c, a) + C.T @ np.cross(a, b)
-        return np.cross(a, b) @ c, grad, S + S.T
+        # d2/da db of (a x b).c is skew(c).T = skew(-c), where skew(v) w = v x w
+        S = A.T @ _skew(-c) @ B + B.T @ _skew(-a) @ C + C.T @ _skew(-b) @ A
+        grad = _pull(A, np.cross(b, c)) + _pull(B, np.cross(c, a)) + _pull(C, np.cross(a, b))
+        return _dot(np.cross(a, b), c), grad, S + np.swapaxes(S, -1, -2)
     if isinstance(expr, Sum):
         jets = [lagrangian_jet(t, leaf) for t in expr.terms]
         # value, gradient and Hessian each summed over the terms, in order
@@ -361,14 +365,36 @@ def lagrangian_jet(expr: Expr, leaf) -> tuple:
         v, g, H = lagrangian_jet(expr.factors[0], leaf)
         for f in expr.factors[1:]:
             w, h, K = lagrangian_jet(f, leaf)
-            O = np.outer(g, h)
-            v, g, H = v * w, v * h + w * g, v * K + w * H + (O + O.T)
+            O = g[..., :, None] * h[..., None, :]
+            v, g, H = (
+                v * w,
+                v[..., None] * h + w[..., None] * g,
+                v[..., None, None] * K + w[..., None, None] * H + (O + np.swapaxes(O, -1, -2)),
+            )
         return v, g, H
     raise InvalidArgument(f"cannot evaluate node {expr!r}")
 
 
+# Row-wise products.  matmul treats every row of a batch as its own vector
+# or matrix and makes the BLAS call an unbatched row would, so a row's
+# result does not depend on the batch it is evaluated in.
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b over the last axis, row by row."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _pull(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A.T @ x row by row: a leaf covector pulled back to the parameters."""
+    return (A.T @ x[..., :, None])[..., 0]
+
+
 def _skew(v: np.ndarray) -> np.ndarray:
-    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+    """Cross-product matrices, skew(v) @ w == v x w, shape (..., 3, 3)."""
+    x, y, z = np.moveaxis(v, -1, 0)
+    o = np.zeros_like(x)
+    return np.stack([o, -z, y, z, o, -x, -y, x, o], axis=-1).reshape(v.shape + (3,))
 
 
 def eval_lagrangian(expr: Expr, table: DifferenceTable) -> float:

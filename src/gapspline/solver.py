@@ -33,8 +33,9 @@ class SolverConfig:
     seed: "int | None" = None
 
     def __post_init__(self):
-        if not self.tol > 0.0:
-            raise InvalidArgument(f"tol must be positive, got {self.tol}")
+        # an infinite tol would accept every start before its first step
+        if not (np.isfinite(self.tol) and self.tol > 0.0):
+            raise InvalidArgument(f"tol must be finite and positive, got {self.tol}")
         if self.max_iters < 1:
             raise InvalidArgument(f"max_iters must be >= 1, got {self.max_iters}")
         if not 0.0 < self.damping < 1.0:
@@ -45,6 +46,9 @@ class SolverConfig:
             raise InvalidArgument(
                 f"start_scales must be non-empty and positive, got {self.start_scales}"
             )
+        seed = self.seed
+        if seed is not None and not (isinstance(seed, (int, np.integer)) and seed >= 0):
+            raise InvalidArgument(f"seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,38 +113,106 @@ def start_grid(layout: UnknownLayout, config: SolverConfig) -> list[np.ndarray]:
     return starts
 
 
-def newton(system: ResidualSystem, u0: np.ndarray, config: SolverConfig):
-    """Damped Newton iteration from one start.
+# Rows per start in one backtracking evaluation.  It holds the default
+# ladder 1, 0.5, ..., 2**-30 (31 steps), so a default solve walks the
+# Lagrangian once per Newton iteration; longer ladders go block by block.
+LADDER_BLOCK = 32
 
-    Returns (u, iterations, converged, residual_max_norm).  Each step
-    backtracks by the damping factor until the residual max-norm decreases;
-    no decreasing step above min_step means the start failed.
-    """
-    u = np.asarray(u0, dtype=float).copy()
-    r = system.residual(u)
-    norm = float(np.max(np.abs(r)))
-    for iteration in range(config.max_iters):
-        if norm <= config.tol:
-            return u, iteration, True, norm
-        jac = system.jacobian(u)
-        try:
-            delta = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:
-            return u, iteration, False, norm
-        if not np.isfinite(delta).all():
-            return u, iteration, False, norm
-        step = 1.0
-        while step >= config.min_step:
-            candidate = u + step * delta
-            r_new = system.residual(candidate)
-            norm_new = float(np.max(np.abs(r_new)))
-            if norm_new < norm:
-                u, r, norm = candidate, r_new, norm_new
-                break
+
+def _ladder(config: SolverConfig):
+    """Backtracking steps 1, damping, damping**2, ... >= min_step, in blocks."""
+    step = 1.0
+    while step >= config.min_step:
+        block = []
+        while step >= config.min_step and len(block) < LADDER_BLOCK:
+            block.append(step)
             step *= config.damping
-        else:
-            return u, iteration, False, norm
-    return u, config.max_iters, norm <= config.tol, norm
+        yield np.array(block)
+
+
+def _newton_steps(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Row-wise solutions of jac @ delta = -r; NaN rows where jac is singular."""
+    try:
+        return np.linalg.solve(jac, -r[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        # one singular Jacobian must fail only its own start
+        delta = np.full_like(r, np.nan)
+        for k in range(len(r)):
+            try:
+                delta[k] = np.linalg.solve(jac[k], -r[k])
+            except np.linalg.LinAlgError:
+                pass
+        return delta
+
+
+def newton_lockstep(system: ResidualSystem, starts: np.ndarray, config: SolverConfig):
+    """Damped Newton from every row of ``starts`` (n, m), all in lockstep.
+
+    Returns arrays (u, iterations, converged, residual_max_norm), one entry
+    per start.  Each iteration solves every running start's Newton step in
+    one batch, then evaluates one jet over the running starts times a block
+    of the backtracking ladder.  A start takes the first step that lowers
+    its residual max-norm and keeps that point's residual and Jacobian for
+    the next iteration.  A start stops when its norm is within tol
+    (converged), or when its step is not finite or no step of the ladder
+    lowers the norm (failed); its iteration count is the iteration it
+    stopped at.
+    """
+    u = np.array(starts, dtype=float)
+    _, r, jac = system.jet(u)
+    # copies, since a constant Hessian comes back as a read-only broadcast
+    r, jac = np.array(r), np.array(jac)
+    norm = np.max(np.abs(r), axis=-1)
+    iterations = np.full(len(u), config.max_iters)
+    converged = np.zeros(len(u), dtype=bool)
+    live = np.arange(len(u))
+    for iteration in range(config.max_iters):
+        done = norm[live] <= config.tol
+        converged[live[done]] = True
+        iterations[live[done]] = iteration
+        live = live[~done]
+        delta = _newton_steps(jac[live], r[live])
+        finite = np.isfinite(delta).all(axis=-1)
+        iterations[live[~finite]] = iteration
+        live, delta = live[finite], delta[finite]
+        if not live.size:
+            break
+        moved = np.zeros(len(live), dtype=bool)
+        for steps in _ladder(config):
+            todo = np.flatnonzero(~moved)
+            rows = live[todo]
+            trial = u[rows, None] + steps[:, None] * delta[todo, None]
+            _, r_trial, jac_trial = system.jet(trial)
+            norm_trial = np.max(np.abs(r_trial), axis=-1)
+            lower = norm_trial < norm[rows, None]
+            hit = np.flatnonzero(lower.any(axis=-1))
+            first = lower[hit].argmax(axis=-1)
+            rows = rows[hit]
+            u[rows] = trial[hit, first]
+            r[rows] = r_trial[hit, first]
+            jac[rows] = jac_trial[hit, first]
+            norm[rows] = norm_trial[hit, first]
+            moved[todo[hit]] = True
+            if moved.all():
+                break
+        iterations[live[~moved]] = iteration
+        live = live[moved]
+    converged[live] = norm[live] <= config.tol
+    return u, iterations, converged, norm
+
+
+def newton(system: ResidualSystem, u0: np.ndarray, config: SolverConfig):
+    """Damped Newton iteration from one start: ``newton_lockstep`` on one row.
+
+    Returns (u, iterations, converged, residual_max_norm), the last three as
+    Python scalars.  Each step backtracks by the damping factor until the
+    residual max-norm decreases; no decreasing step above min_step means the
+    start failed.
+    """
+    u, iterations, converged, norm = newton_lockstep(
+        system, np.asarray(u0, dtype=float)[None], config
+    )
+    return u[0], int(iterations[0]), bool(converged[0]), float(norm[0])
 
 
 def _root_tol(u: np.ndarray) -> float:
@@ -159,15 +231,15 @@ def solve(system: ResidualSystem, config: SolverConfig = SolverConfig()) -> Solu
     raise OrientationFailure carrying the first such root.
     """
     starts = start_grid(system.layout, config)
+    found, iterations, converged, norms = newton_lockstep(system, starts, config)
     roots = []
     best_norm = np.inf
     best_point = starts[0]
-    for idx, u0 in enumerate(starts):
-        u, iterations, ok, norm = newton(system, u0, config)
-        if ok:
-            roots.append((idx, u, iterations))
-        elif norm < best_norm:
-            best_norm = norm
+    for idx, u in enumerate(found):
+        if converged[idx]:
+            roots.append((idx, u, int(iterations[idx])))
+        elif norms[idx] < best_norm:
+            best_norm = float(norms[idx])
             best_point = u
     if not roots:
         raise ConvergenceFailure(best_norm, best_point)

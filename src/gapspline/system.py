@@ -182,10 +182,10 @@ class UnknownLayout:
     def interior_indices(self) -> range:
         return range(2, self.point_count)
 
-    def check_unknowns(self, u: np.ndarray) -> np.ndarray:
-        """u as a float vector, checked against unknown_count."""
+    def check_unknowns(self, u: np.ndarray, batch: bool = False) -> np.ndarray:
+        """u as floats of shape (unknown_count,); with batch, (..., unknown_count)."""
         u = np.asarray(u, dtype=float)
-        if u.shape != (self.unknown_count,):
+        if (u.shape[-1:] if batch else u.shape) != (self.unknown_count,):
             raise InvalidArgument(
                 f"expected {self.unknown_count} unknowns, got shape {u.shape}"
             )
@@ -309,7 +309,8 @@ class ResidualSystem:
     Every leaf D<order>(<index>) is affine in u, ``I = b + A @ u``, because
     the control sequence is and differencing is linear; (b, A) is built once
     per distinct leaf.  action, residual and jacobian are then the value,
-    exact gradient and exact Hessian of one jet of the Lagrangian at u.
+    exact gradient and exact Hessian of one jet of the Lagrangian at u;
+    ``jet`` evaluates all three over a batch of u at once.
     """
 
     def __init__(self, layout: UnknownLayout, lagrangian: Expr):
@@ -348,24 +349,32 @@ class ResidualSystem:
                 f"the Lagrangian never sees unknown(s) {', '.join(dead)}",
             )
 
-    def _jet(self, u: np.ndarray):
-        values = self._b + self._A @ self.layout.check_unknowns(u)
+    def jet(self, u: np.ndarray) -> tuple:
+        """Action, residual and exact Jacobian at every row of u, (..., m).
+
+        One walk of the Lagrangian covers the whole batch: every leaf's
+        values ``b + A @ u`` are formed for all rows at once.  Returns value
+        (...), gradient (..., m) and Hessian (..., m, m).
+        """
+        u = self.layout.check_unknowns(u, batch=True)
+        # one matrix-vector product per row and leaf, as for a single u
+        values = self._b + (self._A @ u[..., None, :, None])[..., 0]
 
         def leaf(d):
             k = self._slot[d.order, d.index]
-            return values[k], self._A[k]
+            return values[..., k, :], self._A[k]
 
         return lagrangian_jet(self.lagrangian, leaf)
 
     def action(self, u: np.ndarray) -> float:
         """Lagrangian value at the reconstruction."""
-        return float(self._jet(u)[0])
+        return float(self.jet(self.layout.check_unknowns(u))[0])
 
     def residual(self, u: np.ndarray) -> np.ndarray:
-        return self._jet(u)[1]
+        return self.jet(self.layout.check_unknowns(u))[1]
 
     def jacobian(self, u: np.ndarray) -> np.ndarray:
-        return self._jet(u)[2]
+        return self.jet(self.layout.check_unknowns(u))[2]
 
     def bending_energy(self, u: np.ndarray) -> float:
         """Total squared second difference of the solution control polygon."""

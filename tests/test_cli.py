@@ -195,6 +195,15 @@ def test_file_errors_exit_2_with_one_line(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("option", [["--seed", "-1"], ["--tol", "inf"]], ids=["seed", "tol"])
+def test_solver_option_errors_exit_2_with_one_line(tmp_path, capsys, option):
+    code, out = _solve_to(tmp_path, EX1, *option)
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # ------------------------------------------------------------------- eval
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,11 +16,14 @@ from gapspline import (
     newton,
     normalize_scene,
     parse_lagrangian,
+    plan,
+    read_scene,
     solve,
     start_grid,
 )
+from gapspline.solver import newton_lockstep
 
-from conftest import L_EX1, L_EX2, L_PLANNER, moved_scene, random_rotation
+from conftest import SCENES_DIR, L_EX1, L_EX2, L_PLANNER, moved_scene, random_rotation
 
 
 def _system(scene, text, ties=()):
@@ -26,9 +31,55 @@ def _system(scene, text, ties=()):
     return ResidualSystem(layout, parse_lagrangian(text))
 
 
+def _shipped_system(name):
+    """The system `gapspline solve` builds for a shipped scene."""
+    doc = read_scene((SCENES_DIR / f"{name}.json").read_text())
+    scene, ties = doc.scene, ()
+    if not doc.has_topology:
+        tp = plan(normalize_scene(scene))
+        scene, ties = scene.with_topology(tp.degree, tp.pieces), tp.constraints
+    return _system(scene, doc.lagrangian_text, ties)
+
+
+def _one_start_newton(system, u0, config):
+    """Damped Newton from one start, trial by trial: the lockstep's reference."""
+    u = np.asarray(u0, dtype=float).copy()
+    r = system.residual(u)
+    norm = float(np.max(np.abs(r)))
+    for iteration in range(config.max_iters):
+        if norm <= config.tol:
+            return u, iteration, True, norm
+        try:
+            delta = np.linalg.solve(system.jacobian(u), -r)
+        except np.linalg.LinAlgError:
+            return u, iteration, False, norm
+        if not np.isfinite(delta).all():
+            return u, iteration, False, norm
+        step = 1.0
+        while step >= config.min_step:
+            candidate = u + step * delta
+            r_new = system.residual(candidate)
+            norm_new = float(np.max(np.abs(r_new)))
+            if norm_new < norm:
+                u, r, norm = candidate, r_new, norm_new
+                break
+            step *= config.damping
+        else:
+            return u, iteration, False, norm
+    return u, config.max_iters, norm <= config.tol, norm
+
+
 def test_config_validation():
     with pytest.raises(InvalidArgument):
         SolverConfig(tol=0.0)
+    # an infinite tol accepts every start unrefined
+    for tol in (np.inf, np.nan):
+        with pytest.raises(InvalidArgument):
+            SolverConfig(tol=tol)
+    for seed in (-1, 1.5):
+        with pytest.raises(InvalidArgument):
+            SolverConfig(seed=seed)
+    assert SolverConfig(seed=np.int64(3)).seed == 3
     with pytest.raises(InvalidArgument):
         SolverConfig(max_iters=0)
     with pytest.raises(InvalidArgument):
@@ -172,3 +223,72 @@ def test_solve_quartic_converges_with_budget(wiggle_scene):
     assert solution.residual_norm < 1e-10
     assert solution.alpha > 0.0 and solution.beta > 0.0
     assert solution.control_points.shape == (5, 2)
+
+
+# damping 0.99 makes mul_0_1 backtrack past the first 32-step ladder block
+@pytest.mark.parametrize("damping", [0.5, 0.99])
+@pytest.mark.parametrize("name", ["example1", "example2", "example3", "example4", "mul_0_1"])
+def test_lockstep_agrees_with_newton_start_by_start(name, damping):
+    system = _shipped_system(name)
+    config = SolverConfig(damping=damping)
+    starts = start_grid(system.layout, config)
+    found, iterations, converged, norms = newton_lockstep(system, np.array(starts), config)
+    for k, u0 in enumerate(starts):
+        for u, its, ok, norm in (newton(system, u0, config), _one_start_newton(system, u0, config)):
+            assert (ok, its) == (converged[k], iterations[k])
+            np.testing.assert_allclose(found[k], u, rtol=0.0, atol=1e-12)
+            assert norms[k] == pytest.approx(norm, rel=1e-9, abs=1e-15)
+
+
+def test_lockstep_keeps_the_product_scenes_converged_starts():
+    # Most of mul_1_1's 18 starts stall, and a stalled path depends on
+    # rounding, so only the converged starts and the carried root are pinned:
+    # starts 10, 11 and 13, as the one-start loop found them.
+    system = _shipped_system("mul_1_1")
+    config = SolverConfig()
+    starts = start_grid(system.layout, config)
+    _, _, converged, _ = newton_lockstep(system, np.array(starts), config)
+    assert np.flatnonzero(converged).tolist() == [10, 11, 13]
+    with pytest.raises(OrientationFailure) as info:
+        solve(system, config)
+    root = _one_start_newton(system, starts[10], config)[0]
+    np.testing.assert_allclose(info.value.root, root, rtol=0.0, atol=1e-9)
+
+
+class _SquareAndIdentity:
+    """r(u) = (u0**2, u1), Jacobian diag(2 u0, 1): singular wherever u0 = 0."""
+
+    def jet(self, u):
+        r = np.stack([u[..., 0] ** 2, u[..., 1]], axis=-1)
+        jac = np.zeros(u.shape + (2,))
+        jac[..., 0, 0] = 2.0 * u[..., 0]
+        jac[..., 1, 1] = 1.0
+        return None, r, jac
+
+
+def test_singular_jacobian_fails_only_its_own_start():
+    system = _SquareAndIdentity()
+    config = SolverConfig()
+    starts = np.array([[0.0, 1.0], [1.0, 1.0]])
+    found, iterations, converged, norms = newton_lockstep(system, starts, config)
+    assert converged.tolist() == [False, True]
+    assert iterations[0] == 0
+    np.testing.assert_array_equal(found[0], starts[0])
+    u, its, ok, norm = newton(system, starts[1], config)
+    assert ok and its == iterations[1] > 0
+    np.testing.assert_array_equal(found[1], u)
+
+
+def test_long_backtracking_ladder_stays_bounded(scene_2d):
+    # about 690k steps from 1 down to 1e-300; the lockstep must evaluate
+    # them a block at a time, never all at once
+    config = SolverConfig(damping=0.999, min_step=1e-300)
+    system = _system(scene_2d, L_EX1)
+    tracemalloc.start()
+    try:
+        solution = solve(system, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_allclose(solution.unknowns, solve(system).unknowns, rtol=0.0, atol=1e-12)
+    assert peak < 10 * 2**20

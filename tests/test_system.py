@@ -300,6 +300,48 @@ def test_jacobian_is_the_symmetric_derivative_of_the_residual(scene_2d, scene_3d
         assert np.max(np.abs(jac - fd)) / scale < 1e-6
 
 
+def test_batched_jet_equals_the_jet_of_each_row(scene_2d, scene_3d):
+    numbers = "2*dot(D2(1),D2(2)) + 0.5*dot(D1(1),D1(3))*dot(D2(2),D2(3)) + 1.5"
+    cases = [
+        (normalize_scene(scene_2d), (), L_EX1),
+        (normalize_scene(scene_2d.with_topology(3, 2)), (case2_tie(),), L_PLANNER),
+        (normalize_scene(scene_2d.with_topology(3, 2)), (case1_tie(),), numbers),
+        (normalize_scene(scene_3d), (), L_EX3),
+    ]
+    rng = np.random.default_rng(5)
+    for norm, ties, text in cases:
+        system = ResidualSystem(build_layout(norm, ties), parse_lagrangian(text))
+        m = system.unknown_count
+        u = rng.normal(scale=0.8, size=(2, 3, m))
+        batch = system.jet(u)
+        assert [part.shape for part in batch] == [(2, 3), (2, 3, m), (2, 3, m, m)]
+        for row in np.ndindex(2, 3):
+            np.testing.assert_array_equal(batch[2][row], batch[2][row].T)
+            for batched, alone in zip(batch, system.jet(u[row])):
+                scale = max(1.0, float(np.max(np.abs(alone))))
+                assert np.max(np.abs(batched[row] - alone)) <= 1e-12 * scale
+
+
+def test_only_jet_takes_a_batch_of_unknowns(scene_2d):
+    layout = build_layout(normalize_scene(scene_2d))
+    system = ResidualSystem(layout, parse_lagrangian(L_EX1))
+    m = system.unknown_count
+    batch = np.full((2, m), 0.9)
+    for single in (
+        layout.solution_points,
+        layout.full_sequence,
+        system.bending_energy,
+        system.action,
+        system.residual,
+        system.jacobian,
+    ):
+        with pytest.raises(InvalidArgument):
+            single(batch)
+    assert system.jet(batch)[1].shape == (2, m)
+    with pytest.raises(InvalidArgument):
+        system.jet(np.zeros((2, m + 1)))
+
+
 def test_straight_line_reconstruction_has_zero_residual(straight_scene):
     norm = normalize_scene(straight_scene)
     layout = build_layout(norm)
