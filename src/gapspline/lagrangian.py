@@ -216,8 +216,11 @@ class _Parser:
             return Trip(a, b, c)
         m = _NUMBER.match(self.text, self.pos)
         if m and (ch.isdigit() or ch == "-" or ch == "."):
+            value = float(m.group())
+            if np.isinf(value):
+                self.fail(f"number {m.group()} overflows to infinity")
             self.pos = m.end()
-            return Number(float(m.group()))
+            return Number(value)
         self.fail("expected number, dot(...), trip(...), or '('")
 
     def vec(self) -> Diff:
@@ -267,7 +270,10 @@ def _fmt(node: Expr, top: bool = False) -> str:
         body = " + ".join(_fmt(t) for t in node.terms)
         return body if top else f"({body})"
     if isinstance(node, Product):
-        return "*".join(_fmt(f) for f in node.factors)
+        # a nested product keeps its parentheses, or it would parse back flat
+        return "*".join(
+            f"({_fmt(f)})" if isinstance(f, Product) else _fmt(f) for f in node.factors
+        )
     raise InvalidArgument(f"unknown expression node {node!r}")
 
 

@@ -145,16 +145,16 @@ def classify_case(normalized: NormalizedScene) -> str:
     return CASE1 if ls * rs > 0 else CASE2
 
 
-def plan(
-    normalized: NormalizedScene, degree_request: int = 3, gap: "float | None" = None
-) -> TopologyPlan:
+def plan(normalized: NormalizedScene, degree_request: int = 3) -> TopologyPlan:
     """Choose the connecting curve's topology from the visible data.
 
-    The measurement window is the gap length (the only scale the normalized
-    scene carries); target inflection count n = floor((n1 + n2) / 2).  n <= 1
-    with same-sign slopes needs no extra point; otherwise one point is
-    inserted and tied per the case.  n > 2 would need more inserted points
-    than this planner automates.
+    The measurement window is always the gap length ``normalized.gap``, the
+    only scale the normalized scene carries; a window longer than an input
+    curve is clamped to it, with a warning and ``window_clamped`` set.  The
+    target inflection count is n = floor((n1 + n2) / 2).  n <= 1 with
+    same-sign slopes needs no extra point; otherwise one point is inserted
+    and tied per the case.  n > 2 would need more inserted points than this
+    planner automates.
     """
     if normalized.dim != 2:
         raise InvalidArgument("topology planning is 2D only")
@@ -162,9 +162,8 @@ def plan(
         raise InvalidArgument(
             f"planner realizes degree 3 or 4 solutions, got {degree_request}"
         )
-    window = normalized.gap if gap is None else float(gap)
-    n1, clamp1 = _count_inflections(normalized.left, window, "tail")
-    n2, clamp2 = _count_inflections(normalized.right, window, "head")
+    n1, clamp1 = _count_inflections(normalized.left, normalized.gap, "tail")
+    n2, clamp2 = _count_inflections(normalized.right, normalized.gap, "head")
     clamped = clamp1 or clamp2
     if clamped:
         warnings.warn(

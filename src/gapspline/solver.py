@@ -23,31 +23,31 @@ from .errors import ConvergenceFailure, InvalidArgument, OrientationFailure
 from .system import ResidualSystem, UnknownLayout
 
 
+# (alpha0, beta0) scale factors of the 3x3 start grid
+START_SCALES = (0.5, 1.0, 2.0)
+
+# Backtracking steps 1, 1/2, ..., 2**-30, all tried in one jet per iteration.
+LADDER = 0.5 ** np.arange(31)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     tol: float = 1e-10
     max_iters: int = 100
-    damping: float = 0.5
-    min_step: float = 2.0**-30
-    start_scales: tuple[float, ...] = (0.5, 1.0, 2.0)
     seed: "int | None" = None
 
     def __post_init__(self):
         # an infinite tol would accept every start before its first step
         if not (np.isfinite(self.tol) and self.tol > 0.0):
             raise InvalidArgument(f"tol must be finite and positive, got {self.tol}")
-        if self.max_iters < 1:
-            raise InvalidArgument(f"max_iters must be >= 1, got {self.max_iters}")
-        if not 0.0 < self.damping < 1.0:
-            raise InvalidArgument("damping factor must be in (0, 1)")
-        if not self.min_step > 0.0:
-            raise InvalidArgument(f"min_step must be positive, got {self.min_step}")
-        if not self.start_scales or not all(s > 0.0 for s in self.start_scales):
-            raise InvalidArgument(
-                f"start_scales must be non-empty and positive, got {self.start_scales}"
-            )
+        if not (_is_integer(self.max_iters) and self.max_iters >= 1):
+            raise InvalidArgument(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         seed = self.seed
-        if seed is not None and not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        if seed is not None and not (_is_integer(seed) and seed >= 0):
             raise InvalidArgument(f"seed must be a non-negative integer, got {seed!r}")
 
 
@@ -87,15 +87,15 @@ def default_initial_guess(layout: UnknownLayout) -> np.ndarray:
 def start_grid(layout: UnknownLayout, config: SolverConfig) -> list[np.ndarray]:
     """Deterministic multistart points, in ranking order.
 
-    (alpha0, beta0) each scaled by the configured factors; when an
+    (alpha0, beta0) each scaled by 0.5, 1 and 2 (``START_SCALES``); when an
     opposite-slope tie is active (negative tie scale) the same grid is
     appended with the interior coordinates' signs flipped, since that case
     bends the curve across the chord.
     """
     base = default_initial_guess(layout)
     starts = []
-    for sa in config.start_scales:
-        for sb in config.start_scales:
+    for sa in START_SCALES:
+        for sb in START_SCALES:
             u = base.copy()
             u[0] *= sa
             u[1] *= sb
@@ -111,23 +111,6 @@ def start_grid(layout: UnknownLayout, config: SolverConfig) -> list[np.ndarray]:
             u + 0.01 * (np.abs(u) + 1.0) * rng.standard_normal(u.shape) for u in starts
         ]
     return starts
-
-
-# Rows per start in one backtracking evaluation.  It holds the default
-# ladder 1, 0.5, ..., 2**-30 (31 steps), so a default solve walks the
-# Lagrangian once per Newton iteration; longer ladders go block by block.
-LADDER_BLOCK = 32
-
-
-def _ladder(config: SolverConfig):
-    """Backtracking steps 1, damping, damping**2, ... >= min_step, in blocks."""
-    step = 1.0
-    while step >= config.min_step:
-        block = []
-        while step >= config.min_step and len(block) < LADDER_BLOCK:
-            block.append(step)
-            step *= config.damping
-        yield np.array(block)
 
 
 def _newton_steps(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -150,13 +133,12 @@ def newton_lockstep(system: ResidualSystem, starts: np.ndarray, config: SolverCo
 
     Returns arrays (u, iterations, converged, residual_max_norm), one entry
     per start.  Each iteration solves every running start's Newton step in
-    one batch, then evaluates one jet over the running starts times a block
-    of the backtracking ladder.  A start takes the first step that lowers
-    its residual max-norm and keeps that point's residual and Jacobian for
-    the next iteration.  A start stops when its norm is within tol
-    (converged), or when its step is not finite or no step of the ladder
-    lowers the norm (failed); its iteration count is the iteration it
-    stopped at.
+    one batch, then evaluates one jet over the running starts times the
+    backtracking ``LADDER``.  A start takes the first step that lowers its
+    residual max-norm and keeps that point's residual and Jacobian for the
+    next iteration.  A start stops when its norm is within tol (converged),
+    or when its step is not finite or no step of the ladder lowers the norm
+    (failed); its iteration count is the iteration it stopped at.
     """
     u = np.array(starts, dtype=float)
     _, r, jac = system.jet(u)
@@ -177,26 +159,19 @@ def newton_lockstep(system: ResidualSystem, starts: np.ndarray, config: SolverCo
         live, delta = live[finite], delta[finite]
         if not live.size:
             break
-        moved = np.zeros(len(live), dtype=bool)
-        for steps in _ladder(config):
-            todo = np.flatnonzero(~moved)
-            rows = live[todo]
-            trial = u[rows, None] + steps[:, None] * delta[todo, None]
-            _, r_trial, jac_trial = system.jet(trial)
-            norm_trial = np.max(np.abs(r_trial), axis=-1)
-            lower = norm_trial < norm[rows, None]
-            hit = np.flatnonzero(lower.any(axis=-1))
-            first = lower[hit].argmax(axis=-1)
-            rows = rows[hit]
-            u[rows] = trial[hit, first]
-            r[rows] = r_trial[hit, first]
-            jac[rows] = jac_trial[hit, first]
-            norm[rows] = norm_trial[hit, first]
-            moved[todo[hit]] = True
-            if moved.all():
-                break
+        trial = u[live, None] + LADDER[:, None] * delta[:, None]
+        _, r_trial, jac_trial = system.jet(trial)
+        norm_trial = np.max(np.abs(r_trial), axis=-1)
+        lower = norm_trial < norm[live, None]
+        moved = lower.any(axis=-1)
         iterations[live[~moved]] = iteration
-        live = live[moved]
+        hit = np.flatnonzero(moved)
+        first = lower[hit].argmax(axis=-1)
+        live = live[hit]
+        u[live] = trial[hit, first]
+        r[live] = r_trial[hit, first]
+        jac[live] = jac_trial[hit, first]
+        norm[live] = norm_trial[hit, first]
     converged[live] = norm[live] <= config.tol
     return u, iterations, converged, norm
 
@@ -205,9 +180,9 @@ def newton(system: ResidualSystem, u0: np.ndarray, config: SolverConfig):
     """Damped Newton iteration from one start: ``newton_lockstep`` on one row.
 
     Returns (u, iterations, converged, residual_max_norm), the last three as
-    Python scalars.  Each step backtracks by the damping factor until the
-    residual max-norm decreases; no decreasing step above min_step means the
-    start failed.
+    Python scalars.  Each step backtracks along ``LADDER`` (1, 1/2, ...,
+    2**-30) to the first step that lowers the residual max-norm; when none
+    does, the start has failed.
     """
     u, iterations, converged, norm = newton_lockstep(
         system, np.asarray(u0, dtype=float)[None], config

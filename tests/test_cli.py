@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import gapspline
-from gapspline import SceneDocument, read_csv, read_solution, write_scene
+import gapspline.cli
+from gapspline import OrientationFailure, SceneDocument, read_csv, read_solution, write_scene
 from gapspline.cli import main
 
 from conftest import SCENES_DIR, L_EX1
@@ -195,6 +196,60 @@ def test_file_errors_exit_2_with_one_line(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+_ORIENTATION = "boundary tangents would point away from the gap"
+
+
+# What `gapspline solve` gives on each shipped scene: exit code, stderr, and
+# alpha and beta of the solution, or for exit 5 of the carried root.  A change
+# that moves any of these changes the program's behaviour and must say so.
+@pytest.mark.parametrize(
+    "name, code, err, alpha, beta",
+    [
+        ("example1", 0, "", 0.16666666666666682, 0.33333333333333287),
+        (
+            "example2", 5,
+            f"converged root violates orientation (alpha=0, beta=-5.55112e-17); {_ORIENTATION}",
+            0.0, -5.551115123125783e-17,
+        ),
+        ("example3", 0, "", 0.12647421372987486, 0.2570572270943017),
+        ("example4", 0, "", 1.0000000000000022, 0.9999999999999969),
+        (
+            "mul_0_1", 5,
+            f"converged root violates orientation (alpha=-2.62901, beta=1.89027); {_ORIENTATION}",
+            -2.629008221921178, 1.8902666245513369,
+        ),
+        (
+            "mul_1_1", 5,
+            f"converged root violates orientation (alpha=0.612102, beta=-4.73875); {_ORIENTATION}",
+            0.6121019504045017, -4.738748720315133,
+        ),
+    ],
+)
+def test_shipped_scenes_keep_their_outcome(
+    tmp_path, capsys, monkeypatch, name, code, err, alpha, beta
+):
+    carried = []
+
+    def solve_keeping_the_root(system, config):
+        try:
+            return gapspline.solve(system, config)
+        except OrientationFailure as exc:
+            carried.append(exc)
+            raise
+
+    monkeypatch.setattr(gapspline.cli, "solve", solve_keeping_the_root)
+    exit_code, out = _solve_to(tmp_path, str(SCENES_DIR / f"{name}.json"))
+    assert exit_code == code
+    assert capsys.readouterr().err == (f"error: {err}\n" if err else "")
+    if code == 0:
+        solution = json.loads(out.read_text())
+        found = solution["alpha"], solution["beta"]
+    else:
+        (exc,) = carried
+        found = exc.alpha, exc.beta
+    np.testing.assert_allclose(found, (alpha, beta), rtol=0.0, atol=1e-12)
+
+
 @pytest.mark.parametrize("option", [["--seed", "-1"], ["--tol", "inf"]], ids=["seed", "tol"])
 def test_solver_option_errors_exit_2_with_one_line(tmp_path, capsys, option):
     code, out = _solve_to(tmp_path, EX1, *option)
@@ -202,6 +257,16 @@ def test_solver_option_errors_exit_2_with_one_line(tmp_path, capsys, option):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_overflowing_number_literal_exits_2_with_one_line(tmp_path, capsys):
+    # 1e400 would parse as inf and end in a ConvergenceFailure at residual inf
+    code, out = _solve_to(tmp_path, EX1, "--lagrangian", "1e400*dot(D2(1),D2(2))")
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "byte offset 0" in err
 
 
 # ------------------------------------------------------------------- eval

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import L_EX1, L_EX2, L_EX3, L_PLANNER, random_rotation
 from gapspline.errors import DslSyntaxError, DslTypeError, InvalidArgument
@@ -105,9 +107,49 @@ def test_difference_order_limited_to_three():
 
 def test_printer_round_trip():
     for text in [L_EX1, L_EX2, L_EX3, L_PLANNER,
-                 "2.0*(dot(D1(1),D1(1)) + 3.5)*dot(D2(0),D2(0))"]:
+                 "2.0*(dot(D1(1),D1(1)) + 3.5)*dot(D2(0),D2(0))",
+                 # a nested product, which must not print flat
+                 "(dot(D1(1),D1(2))*dot(D1(1),D1(2)))*dot(D1(1),D1(2))"]:
         e = parse_lagrangian(text)
         assert parse_lagrangian(format_lagrangian(e)) == e
+
+
+def test_overflowing_number_is_a_syntax_error():
+    for text, offset in [("1e400*dot(D2(1),D2(2))", 0), ("dot(D2(1),D2(2)) + -1e309", 19)]:
+        with pytest.raises(DslSyntaxError) as err:
+            parse_lagrangian(text)
+        assert err.value.offset == offset
+    # underflow to zero is a finite number and stays accepted
+    assert parse_lagrangian("1e-400") == Number(0.0)
+
+
+# Lagrangian texts drawn from the grammar in the module docstring
+_NUMBER_TEXT = st.builds(
+    "{}{}{}{}".format,
+    st.sampled_from(["", "-"]),
+    st.integers(0, 999),
+    st.sampled_from(["", ".5", ".25", ".001"]),
+    st.sampled_from(["", "e3", "E-2", "e+12", "e-300"]),
+)
+_VEC_TEXT = st.builds(lambda order, index: f"D{order}({index})", st.integers(1, 3), st.integers(-3, 6))
+_ATOM_TEXT = st.one_of(
+    _NUMBER_TEXT,
+    st.builds(lambda a, b: f"dot({a},{b})", _VEC_TEXT, _VEC_TEXT),
+    st.builds(lambda a, b, c: f"trip({a},{b},{c})", _VEC_TEXT, _VEC_TEXT, _VEC_TEXT),
+)
+
+
+def _compound_text(inner):
+    factor = st.one_of(_ATOM_TEXT, inner.map(lambda text: f"({text})"))
+    term = st.lists(factor, min_size=1, max_size=3).map("*".join)
+    return st.lists(term, min_size=1, max_size=3).map(" + ".join)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.recursive(_ATOM_TEXT, _compound_text, max_leaves=12))
+def test_printer_round_trips_grammar_texts(text):
+    e = parse_lagrangian(text)
+    assert parse_lagrangian(format_lagrangian(e)) == e
 
 
 def test_trip_requires_3d():

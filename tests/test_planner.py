@@ -205,8 +205,13 @@ def test_plan_busy_case1_inserts_averaging_tie():
 
 
 def test_plan_gap_override_and_clamp_echo(wiggle_scene):
+    # the right curve moved 2 units further along the chord: the gap, and
+    # so the window, grows from 3 to 5, longer than the right curve
+    right = wiggle_scene.right.transformed(wiggle_scene.right.points + [2.0, 0.0])
+    normalized = normalize_scene(Scene(wiggle_scene.left, right, 3, 2))
+    assert normalized.gap == 5.0
     with pytest.warns(UserWarning, match="clamped"):
-        tp = plan(normalize_scene(wiggle_scene), gap=6.0)
+        tp = plan(normalized)
     assert tp.window_clamped
     assert tp.realization == "OnePieceCubic"
     assert tp.target_inflections == 1
