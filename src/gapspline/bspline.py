@@ -1,12 +1,14 @@
 """Clamped B-spline curves on [0, 1] with a single-span Cox–de Boor evaluator.
 
-Bisection finds the knot span of t; the degree+1 basis functions that do not
-vanish there are built bottom-up by the two-term recursion (Piegl & Tiller,
-*The NURBS Book*, A2.2).  The final non-empty span is closed, so a curve
-interpolates its last control point at t = 1.  Derivatives evaluate the
-hodograph, the degree-(k-1) curve with control points k (P[i+1] - P[i]) /
-(t[i+k+1] - t[i+1]) on the knots without the two end ones (de Boor, *A
-Practical Guide to Splines*, ch. X).
+One triangle (Piegl & Tiller, *The NURBS Book*, A2.2) builds the degree+1
+basis functions not zero on t's knot span from the 2·degree knots around it:
+a tuple slice found by bisection for a float t, rows gathered by
+``np.searchsorted`` for an array of t.  The arithmetic is the same text and
+numpy rounds elementwise like Python, so both give the same bits.  The final
+non-empty span is closed, so a curve interpolates its last control point at
+t = 1.  Derivatives evaluate the hodograph, the degree-(k-1) curve with
+control points k (P[i+1] - P[i]) / (t[i+k+1] - t[i+1]) on the knots without
+the two end ones (de Boor, *A Practical Guide to Splines*, ch. X).
 """
 
 from bisect import bisect_right
@@ -72,21 +74,23 @@ class KnotVector:
         return len(self.knots) - 2 * self.degree - 1
 
 
-def _nonzero_basis(knots: tuple[float, ...], degree: int, t: float) -> tuple[int, list[float]]:
-    """Index of the first basis function not zero at t, and the degree+1 values."""
-    span = min(bisect_right(knots, t), len(knots) - degree - 1) - 1  # t = 1: last span
+def _triangle(kn, degree: int, t) -> list:
+    """The degree+1 basis values not zero on t's span from the 2·degree knots
+    kn around it, kn[degree-1] <= t < kn[degree] (or t = 1 on the last span):
+    a tuple of floats for a float t, rows of arrays as long as an array t."""
     values = [1.0]
     for r in range(1, degree + 1):
         row = []
-        for m, j in enumerate(range(span - r, span + 1)):
+        for m in range(r + 1):
+            g = degree - 1 - r + m
             value = 0.0
             if m > 0:
-                value += (t - knots[j]) / (knots[j + r] - knots[j]) * values[m - 1]
+                value = value + (t - kn[g]) / (kn[g + r] - kn[g]) * values[m - 1]
             if m < r:
-                value += (knots[j + r + 1] - t) / (knots[j + r + 1] - knots[j + 1]) * values[m]
+                value = value + (kn[g + r + 1] - t) / (kn[g + r + 1] - kn[g + 1]) * values[m]
             row.append(value)
         values = row
-    return span - degree, values
+    return values
 
 
 def _evaluate(knots: tuple[float, ...], degree: int, points: np.ndarray, t, order: int):
@@ -107,13 +111,14 @@ def _evaluate(knots: tuple[float, ...], degree: int, points: np.ndarray, t, orde
         den = np.subtract(knots[degree + 1 : -1], knots[1 : len(points)])
         points = degree * np.diff(points, axis=0) / den[:, None]
         knots, degree = knots[1:-1], degree - 1
-    first = np.empty(ts.size, dtype=int)
-    values = np.empty((ts.size, degree + 1))
-    for row, u in enumerate(ts.ravel().tolist()):
-        first[row], values[row] = _nonzero_basis(knots, degree, u)
+    flat = ts.ravel()
+    # t = 1 takes the last non-empty span
+    span = np.minimum(np.searchsorted(knots, flat, side="right"), len(points)) - 1
+    kn = np.asarray(knots)[span + np.arange(1 - degree, degree + 1)[:, None]]
     total = 0.0
-    for j in range(degree + 1):
-        total = total + values[:, j : j + 1] * points[first + j]
+    # the degree-0 hodograph's one value is the float 1.0, not a row
+    for j, value in enumerate(_triangle(kn, degree, flat)):
+        total = total + np.reshape(value, (-1, 1)) * points[span - degree + j]
     return total.reshape(shape)
 
 
@@ -123,8 +128,10 @@ def basis(kv: KnotVector, i: int, t: float) -> float:
         raise InvalidArgument(f"basis index {i} out of range [0, {kv.point_count})")
     if not 0.0 <= t <= 1.0:
         raise InvalidArgument(f"parameter {t} outside [0, 1]")
-    first, values = _nonzero_basis(kv.knots, kv.degree, t)
-    return values[i - first] if first <= i <= first + kv.degree else 0.0
+    k = kv.degree
+    span = min(bisect_right(kv.knots, t), kv.point_count) - 1  # t = 1: last span
+    values = _triangle(kv.knots[span - k + 1 : span + k + 1], k, t)
+    return values[i - span + k] if span - k <= i <= span else 0.0
 
 
 def basis_derivative(kv: KnotVector, i: int, t: float, order: int = 1) -> float:

@@ -152,7 +152,9 @@ class _Parser:
         self.pos = 0
 
     def fail(self, message: str, at: int | None = None):
-        raise DslSyntaxError(message, self.pos if at is None else at)
+        # positions index characters; the error reports UTF-8 bytes
+        at = self.pos if at is None else at
+        raise DslSyntaxError(message, len(self.text[:at].encode()))
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():

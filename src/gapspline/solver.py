@@ -34,6 +34,10 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    return _is_integer(value) or isinstance(value, (float, np.floating))
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     tol: float = 1e-10
@@ -42,8 +46,8 @@ class SolverConfig:
 
     def __post_init__(self):
         # an infinite tol would accept every start before its first step
-        if not (np.isfinite(self.tol) and self.tol > 0.0):
-            raise InvalidArgument(f"tol must be finite and positive, got {self.tol}")
+        if not (_is_real(self.tol) and np.isfinite(self.tol) and self.tol > 0.0):
+            raise InvalidArgument(f"tol must be finite and positive, got {self.tol!r}")
         if not (_is_integer(self.max_iters) and self.max_iters >= 1):
             raise InvalidArgument(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         seed = self.seed

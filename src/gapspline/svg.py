@@ -15,13 +15,13 @@ def _fmt(x: float) -> str:
 
 
 def _path(points: np.ndarray) -> str:
-    parts = [f"M {_fmt(points[0, 0])} {_fmt(points[0, 1])}"]
-    parts += [f"L {_fmt(p[0])} {_fmt(p[1])}" for p in points[1:]]
-    return " ".join(parts)
+    n = len(points)
+    return ("M %.6g %.6g" + " L %.6g %.6g" * (n - 1)) % tuple(points[:, :2].ravel().tolist())
 
 
 def _points_attr(points: np.ndarray) -> str:
-    return " ".join(f"{_fmt(p[0])},{_fmt(p[1])}" for p in points)
+    n = len(points)
+    return ("%.6g,%.6g" + " %.6g,%.6g" * (n - 1)) % tuple(points[:, :2].ravel().tolist())
 
 
 def render_svg(

@@ -283,6 +283,24 @@ def test_array_calls_equal_scalar_calls_exactly():
     for a, t in enumerate(ts):
         assert (samples[a] == curve.point(t)).all()
         assert kappa[a] == signed_curvature(curve, t)
+    # every knot vector, every knot, 0 and 1, orders 0 to one past the degree
+    # (order == degree is the degree-0 hodograph, a triangle of one value)
+    for kv in _knot_vectors():
+        ts = np.array(_parameters(kv, rng, 3))
+        for dim in (2, 3):
+            curve = BSplineCurve(kv, rng.normal(size=(kv.point_count, dim)))
+            for order in range(kv.degree + 2):
+                rows = curve.derivative(ts, order)
+                assert rows.shape == (len(ts), dim)
+                for a, t in enumerate(ts.tolist()):
+                    one = curve.derivative(t, order)
+                    assert one.shape == (dim,)
+                    assert (rows[a] == one).all()
+        # the gathered-row triangle behind curves against the tuple-slice
+        # triangle behind basis()
+        for t in ts.tolist():
+            for i in range(kv.point_count):
+                assert basis_derivative(kv, i, t, 0) == basis(kv, i, t)
 
 
 def test_highest_derivative_is_right_continuous_and_a_left_limit_at_one():

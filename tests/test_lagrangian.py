@@ -97,6 +97,21 @@ def test_syntax_errors_carry_byte_offsets():
     assert err.value.offset == 16
 
 
+def test_syntax_error_offsets_count_utf8_bytes():
+    # a no-break space is whitespace to the parser and two bytes in UTF-8
+    with pytest.raises(DslSyntaxError) as err:
+        parse_lagrangian("\u00a0\u00a0dot(D2(1),D2(2))*?")
+    assert err.value.offset == 21 == len("\u00a0\u00a0dot(D2(1),D2(2))*".encode())
+    assert "(byte offset 21)" in str(err.value)
+    # in ASCII text a byte is a character, so the offsets are unchanged
+    with pytest.raises(DslSyntaxError) as err:
+        parse_lagrangian("  dot(D2(1),D2(2))*?")
+    assert err.value.offset == 19
+    with pytest.raises(DslSyntaxError) as err:
+        parse_lagrangian("\u00a0dot(D4(1),D1(2))")
+    assert err.value.offset == 6
+
+
 def test_difference_order_limited_to_three():
     with pytest.raises(DslSyntaxError) as err:
         parse_lagrangian("dot(D4(1),D1(2))")

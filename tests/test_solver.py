@@ -90,6 +90,12 @@ def test_config_validation():
         with pytest.raises(InvalidArgument):
             SolverConfig(max_iters=max_iters)
     assert SolverConfig(max_iters=np.int64(3)).max_iters == 3
+    # '1' used to fail inside numpy with a bare TypeError, and True passed as 1.0
+    for tol in ("1", True, None, np.nan, np.inf, 0, -1e-10):
+        with pytest.raises(InvalidArgument):
+            SolverConfig(tol=tol)
+    for tol in (1, 1e-12, np.float32(1e-6), np.int64(1)):
+        assert SolverConfig(tol=tol).tol == tol
 
 
 def test_config_fields_and_the_fixed_ladder():

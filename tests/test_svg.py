@@ -1,6 +1,7 @@
 import numpy as np
 
 from gapspline import BSplineCurve, make_knot_vector, render_svg
+from gapspline.svg import _path, _points_attr
 
 from conftest import CUBIC, LEFT_2D, LEFT_3D, RIGHT_2D, RIGHT_3D
 
@@ -41,3 +42,16 @@ def test_render_flips_y_axis():
     right = BSplineCurve(CUBIC, [(5.0, 1.0), (6.0, 1.0), (7.0, 1.0), (8.0, 1.0)])
     svg = render_svg(up, right)
     assert "-1" in svg
+
+
+def test_polyline_text_keeps_six_significant_digits_at_the_edges():
+    # signed zero, a tiny value, exponents both ways, rounding to six digits
+    points = np.array(
+        [[0.0, -0.0], [1e-300, -1e-8], [123456789.0, 1.5e8], [0.1234567, -2.5], [7.0, 1e-5]]
+    )
+    assert _path(points) == (
+        "M 0 -0 L 1e-300 -1e-08 L 1.23457e+08 1.5e+08 L 0.123457 -2.5 L 7 1e-05"
+    )
+    assert _points_attr(points) == "0,-0 1e-300,-1e-08 1.23457e+08,1.5e+08 0.123457,-2.5 7,1e-05"
+    assert _path(points[:1]) == "M 0 -0"
+    assert _points_attr(points[2:3]) == "1.23457e+08,1.5e+08"
