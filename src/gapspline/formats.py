@@ -84,7 +84,7 @@ def _parse_curve(obj, dim: int, context: str) -> BSplineCurve:
     degree = _require(obj, "degree", context)
     knots = _require(obj, "knots", context)
     points = _require(obj, "points", context)
-    if not isinstance(degree, int):
+    if type(degree) is not int:  # JSON true loads as bool, a subclass of int
         raise FormatError(f"{context}.degree must be an integer")
     try:
         kv = KnotVector(tuple(float(t) for t in knots), degree)
@@ -105,7 +105,7 @@ def read_scene(text: str) -> SceneDocument:
     if not isinstance(doc, dict):
         raise FormatError("scene file must be a JSON object")
     version = _require(doc, "version", "scene file")
-    if version != SCENE_VERSION:
+    if isinstance(version, bool) or version != SCENE_VERSION:
         raise FormatError(f"unsupported scene file version {version!r}")
     dim = _require(doc, "dim", "scene file")
     if dim not in (2, 3):
@@ -121,7 +121,7 @@ def read_scene(text: str) -> SceneDocument:
             raise FormatError("solution must be an object with degree and pieces")
         degree = _require(solution, "degree", "solution")
         pieces = _require(solution, "pieces", "solution")
-        if not isinstance(degree, int) or not isinstance(pieces, int):
+        if type(degree) is not int or type(pieces) is not int:
             raise FormatError("solution degree and pieces must be integers")
 
     lagrangian = doc.get("lagrangian")

@@ -405,24 +405,41 @@ def _skew(v: np.ndarray) -> np.ndarray:
     return np.stack([o, -z, y, z, o, -x, -y, x, o], axis=-1).reshape(v.shape + (3,))
 
 
-def eval_lagrangian(expr: Expr, table: DifferenceTable) -> float:
-    """Scalar value of the Lagrangian on the given difference table."""
-    no_params = np.zeros((table.dim, 0))
-    return float(lagrangian_jet(expr, lambda d: (table.invariant(d.index, d.order), no_params))[0])
+def leaf_maps(expr: Expr, offset: np.ndarray, basis: np.ndarray, first_index: int) -> tuple:
+    """Constant affine maps ``I = b + A @ u`` of the Lagrangian's leaves.
+
+    The point sequence is ``offset + sum_k u[k] basis[k]``, offset (n, dim)
+    and basis (m, n, dim), and base point j carries index ``first_index + j``.
+    Returns ``slot``, the row of each distinct (order, index), and the stacked
+    ``b`` (rows, dim) and ``A`` (rows, dim, m).
+    """
+    keys = dict.fromkeys((leaf.order, leaf.index) for leaf in lagrangian_leaves(expr))
+    last = first_index + len(offset) - 1
+    if any(i < first_index or i + l > last for l, i in keys):
+        lo, hi = leaf_point_span(expr)
+        raise InvalidArgument(
+            f"Lagrangian reads points {lo}..{hi}, but the scene only provides "
+            f"{first_index}..{last}"
+        )
+    b = np.array([np.diff(offset, l, axis=0)[i - first_index] for l, i in keys])
+    A = np.array([np.diff(basis, l, axis=1)[:, i - first_index].T for l, i in keys])
+    return {key: k for k, key in enumerate(keys)}, b, A
 
 
-def leaf_partials(expr: Expr, table: DifferenceTable) -> dict[tuple[int, int], np.ndarray]:
-    """dL/dI_{index,order} accumulated per (order, index) leaf, as vectors."""
-    keys = list(dict.fromkeys((d.order, d.index) for d in lagrangian_leaves(expr)))
-    dim = table.dim
-    eye = np.eye(len(keys) * dim)
+def _table_jet(expr: Expr, table: DifferenceTable, basis: np.ndarray) -> tuple:
+    """The jet at the table's base points, over parameters moving them by basis."""
+    slot, b, A = leaf_maps(expr, table.base, basis, table.first_index)
 
     def leaf(d: Diff):
-        k = keys.index((d.order, d.index))
-        return table.invariant(d.index, d.order), eye[k * dim : (k + 1) * dim]
+        k = slot[d.order, d.index]
+        return b[k], A[k]
 
-    grad = np.broadcast_to(lagrangian_jet(expr, leaf)[1], eye.shape[:1])
-    return dict(zip(keys, grad.reshape(len(keys), dim)))
+    return lagrangian_jet(expr, leaf)
+
+
+def eval_lagrangian(expr: Expr, table: DifferenceTable) -> float:
+    """Scalar value of the Lagrangian on the given difference table."""
+    return float(_table_jet(expr, table, np.zeros((0,) + table.base.shape))[0])
 
 
 def grad_lagrangian(
@@ -430,31 +447,20 @@ def grad_lagrangian(
 ) -> np.ndarray:
     """Exact gradient of the Lagrangian w.r.t. the named base points.
 
-    Backpropagates the leaf partials through the difference recursion
-    p_i^l = p_{i+1}^{l-1} - p_i^{l-1}.  Returns shape (len(free), dim), rows
-    in the order given.
+    The jet's gradient over one parameter per coordinate of each free point,
+    so the same leaf maps as :class:`gapspline.system.ResidualSystem` bind the
+    leaves.  Returns shape (len(free), dim), rows in the order given.
     """
     free = list(free)
     if not free:
         raise InvalidArgument("free index set must not be empty")
-    bars = leaf_partials(expr, table)
-    n = table.base.shape[0]
-    dim = table.dim
-    max_order = max((order for order, _ in bars), default=0)
-    adjoint = [np.zeros((n - l, dim)) for l in range(max_order + 1)]
-    for (order, index), bar in bars.items():
-        lo, hi = table.index_range(order)
-        if not lo <= index <= hi:
-            raise InvalidArgument(f"leaf D{order}({index}) outside the table")
-        adjoint[order][index - table.first_index] += bar
-    for l in range(max_order, 0, -1):
-        adjoint[l - 1][1:] += adjoint[l]
-        adjoint[l - 1][:-1] -= adjoint[l]
-    full = adjoint[0]
-    rows = []
-    for index in free:
+    n, dim = table.base.shape
+    basis = np.zeros((len(free), dim, n, dim))
+    for row, index in enumerate(free):
         pos = index - table.first_index
         if not 0 <= pos < n:
             raise InvalidArgument(f"free index {index} outside the table")
-        rows.append(full[pos])
-    return np.array(rows)
+        basis[row, :, pos] = np.eye(dim)
+    grad = _table_jet(expr, table, basis.reshape(-1, n, dim))[1]
+    # a leaf-free Lagrangian's gradient is a broadcastable zero of shape (1,)
+    return np.broadcast_to(grad, (len(free) * dim,)).reshape(len(free), dim).copy()

@@ -22,13 +22,7 @@ import numpy as np
 
 from .bspline import BSplineCurve, make_knot_vector
 from .errors import BalanceError, DegenerateScene, InvalidArgument
-from .lagrangian import (
-    Expr,
-    lagrangian_jet,
-    lagrangian_leaves,
-    leaf_point_span,
-    validate_lagrangian,
-)
+from .lagrangian import Expr, lagrangian_jet, leaf_maps, validate_lagrangian
 from .rigid import RigidTransform, normalize_2d, normalize_3d
 
 
@@ -270,6 +264,8 @@ def build_layout(
                 raise InvalidArgument("chained coordinate ties are not supported")
             if not 1 <= p <= n:
                 raise InvalidArgument(f"tie source p{p} outside the connecting curve")
+            if not 0 <= c < dim:
+                raise InvalidArgument(f"tie source coordinate {c} outside dimension {dim}")
 
     free = tuple(
         (pt, c)
@@ -307,9 +303,9 @@ class ResidualSystem:
     """Stationarity residual of the Lagrangian in the reduced unknowns.
 
     Every leaf D<order>(<index>) is affine in u, ``I = b + A @ u``, because
-    the control sequence is and differencing is linear; (b, A) is built once
-    per distinct leaf.  action, residual and jacobian are then the value,
-    exact gradient and exact Hessian of one jet of the Lagrangian at u;
+    the control sequence is and differencing is linear; ``leaf_maps`` builds
+    (b, A) once per distinct leaf.  action, residual and jacobian are then the
+    value, exact gradient and exact Hessian of one jet of the Lagrangian at u;
     ``jet`` evaluates all three over a batch of u at once.
     """
 
@@ -318,19 +314,8 @@ class ResidualSystem:
         self.layout = layout
         self.lagrangian = lagrangian
 
-        first = layout.first_index
         offset, basis = layout.sequence_map()
-        total = len(offset)
-        lo, hi = leaf_point_span(lagrangian)
-        if lo < first or hi > first + total - 1:
-            raise InvalidArgument(
-                f"Lagrangian reads points {lo}..{hi}, but the scene only provides "
-                f"{first}..{first + total - 1}"
-            )
-        keys = dict.fromkeys((leaf.order, leaf.index) for leaf in lagrangian_leaves(lagrangian))
-        self._slot = {key: k for k, key in enumerate(keys)}
-        self._b = np.array([np.diff(offset, l, axis=0)[i - first] for l, i in keys])
-        self._A = np.array([np.diff(basis, l, axis=1)[:, i - first].T for l, i in keys])
+        self._slot, self._b, self._A = leaf_maps(lagrangian, offset, basis, layout.first_index)
         self._check_balance()
 
     @property

@@ -1,21 +1,21 @@
 """Discrete variational calculus on difference invariants.
 
-The gradient of a Lagrangian with respect to a base point can be written two
-ways: by backpropagating through the difference recursion
-(:func:`gapspline.lagrangian.grad_lagrangian`), or — via summation by parts —
-as the operator expression
+The library's gradient of a Lagrangian is the jet's gradient through constant
+leaf maps (:func:`gapspline.lagrangian.grad_lagrangian`, the route ``solve``
+takes).  Summation by parts writes it as the paper's discrete Euler–Lagrange
+operator expression
 
     dL/dq_i = sum_l (S^-1 - id)^l [ dL/dI_{.,l} ]_i
 
-where S is the index shift.  This module implements the operator route; the
-two must agree to machine precision, which makes for a strong self-check of
-either implementation.
+where S is the index shift.  This module implements that form over the
+difference table's levels, without leaf maps, so its agreement with the
+production route to machine precision is an independent check of both.
 """
 
 import numpy as np
 
 from .errors import InvalidArgument
-from .lagrangian import DifferenceTable, Expr, leaf_partials
+from .lagrangian import DifferenceTable, Diff, Expr, lagrangian_jet, lagrangian_leaves
 
 
 def shift_difference(values: np.ndarray, power: int = 1, inverse: bool = False) -> np.ndarray:
@@ -48,11 +48,18 @@ def leaf_partial_sequences(expr: Expr, table: DifferenceTable) -> dict[int, np.n
     Entries are zero wherever the Lagrangian has no matching leaf.  Keys are
     the orders that actually occur.
     """
-    n = table.base.shape[0]
+    keys = list(dict.fromkeys((d.order, d.index) for d in lagrangian_leaves(expr)))
+    n, dim = table.base.shape
+    eye = np.eye(len(keys) * dim)  # one parameter per coordinate of each leaf
+
+    def leaf(d: Diff):
+        k = keys.index((d.order, d.index))
+        return table.invariant(d.index, d.order), eye[k * dim : (k + 1) * dim]
+
+    bars = np.broadcast_to(lagrangian_jet(expr, leaf)[1], eye.shape[:1]).reshape(-1, dim)
     out: dict[int, np.ndarray] = {}
-    for (order, index), bar in leaf_partials(expr, table).items():
-        seq = out.setdefault(order, np.zeros((n, table.dim)))
-        seq[index - table.first_index] += bar
+    for (order, index), bar in zip(keys, bars):
+        out.setdefault(order, np.zeros((n, dim)))[index - table.first_index] = bar
     return out
 
 
@@ -71,11 +78,7 @@ def el_gradient(expr: Expr, table: DifferenceTable) -> np.ndarray:
 
 def euler_lagrange(expr: Expr, table: DifferenceTable, index: int) -> np.ndarray:
     """Single gradient row dL/dq_index via the operator form."""
-    pos = index - table.first_index
-    n = table.base.shape[0]
-    if not 0 <= pos < n:
-        raise InvalidArgument(f"index {index} outside the base window")
-    return el_gradient(expr, table)[pos]
+    return el_operator_form(expr, table, [index])[0]
 
 
 def el_operator_form(expr: Expr, table: DifferenceTable, free) -> np.ndarray:

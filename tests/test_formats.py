@@ -131,6 +131,15 @@ def test_read_scene_error_paths(scene_2d):
     for text in bad_texts:
         with pytest.raises(FormatError):
             read_scene(text)
+    # JSON true is not an integer, though Python's bool is an int
+    for fn, message in [
+        (lambda d: d.update(version=True), "version True"),
+        (lambda d: d["left"].update(degree=True), "left.degree must be an integer"),
+        (lambda d: d["solution"].update(degree=True), "must be integers"),
+        (lambda d: d["solution"].update(pieces=True), "must be integers"),
+    ]:
+        with pytest.raises(FormatError, match=message):
+            read_scene(corrupt(fn))
     assert FormatError("x").exit_code == 2
 
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import L_EX1, L_EX2, L_EX3, L_PLANNER, random_rotation
+from oracles import level_adjoint_gradient
 from gapspline.errors import DslSyntaxError, DslTypeError, InvalidArgument
 from gapspline.lagrangian import (
     Diff,
@@ -20,6 +21,7 @@ from gapspline.lagrangian import (
     parse_lagrangian,
     validate_lagrangian,
 )
+from gapspline.variational import el_operator_form
 
 EX1_LEFT = np.array([(0.0, 0.0), (1.0, 4.0), (2.0, 1.0), (4.0, 3.0)])
 
@@ -138,30 +140,37 @@ def test_overflowing_number_is_a_syntax_error():
     assert parse_lagrangian("1e-400") == Number(0.0)
 
 
-# Lagrangian texts drawn from the grammar in the module docstring
-_NUMBER_TEXT = st.builds(
-    "{}{}{}{}".format,
-    st.sampled_from(["", "-"]),
-    st.integers(0, 999),
-    st.sampled_from(["", ".5", ".25", ".001"]),
-    st.sampled_from(["", "e3", "E-2", "e+12", "e-300"]),
-)
+def _number_text(exponents):
+    return st.builds(
+        "{}{}{}{}".format,
+        st.sampled_from(["", "-"]),
+        st.integers(0, 999),
+        st.sampled_from(["", ".5", ".25", ".001"]),
+        st.sampled_from(exponents),
+    )
+
+
 _VEC_TEXT = st.builds(lambda order, index: f"D{order}({index})", st.integers(1, 3), st.integers(-3, 6))
-_ATOM_TEXT = st.one_of(
-    _NUMBER_TEXT,
-    st.builds(lambda a, b: f"dot({a},{b})", _VEC_TEXT, _VEC_TEXT),
-    st.builds(lambda a, b, c: f"trip({a},{b},{c})", _VEC_TEXT, _VEC_TEXT, _VEC_TEXT),
-)
 
 
-def _compound_text(inner):
-    factor = st.one_of(_ATOM_TEXT, inner.map(lambda text: f"({text})"))
-    term = st.lists(factor, min_size=1, max_size=3).map("*".join)
-    return st.lists(term, min_size=1, max_size=3).map(" + ".join)
+def _grammar_text(number):
+    """Lagrangian texts drawn from the grammar in the module docstring."""
+    atom = st.one_of(
+        number,
+        st.builds(lambda a, b: f"dot({a},{b})", _VEC_TEXT, _VEC_TEXT),
+        st.builds(lambda a, b, c: f"trip({a},{b},{c})", _VEC_TEXT, _VEC_TEXT, _VEC_TEXT),
+    )
+
+    def compound(inner):
+        factor = st.one_of(atom, inner.map(lambda text: f"({text})"))
+        term = st.lists(factor, min_size=1, max_size=3).map("*".join)
+        return st.lists(term, min_size=1, max_size=3).map(" + ".join)
+
+    return st.recursive(atom, compound, max_leaves=12)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
-@given(st.recursive(_ATOM_TEXT, _compound_text, max_leaves=12))
+@given(_grammar_text(_number_text(["", "e3", "E-2", "e+12", "e-300"])))
 def test_printer_round_trips_grammar_texts(text):
     e = parse_lagrangian(text)
     assert parse_lagrangian(format_lagrangian(e)) == e
@@ -274,7 +283,34 @@ def test_constant_lagrangian_has_zero_gradient():
     np.testing.assert_allclose(g, 0.0, atol=1e-15)
 
 
+# number literals stay within 1e3, so the tolerance does not measure cancellation
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_grammar_text(_number_text(["", "E-2", "e-300"])), st.integers(0, 2**32 - 1))
+def test_gradient_routes_agree_on_grammar_texts(text, seed):
+    e = parse_lagrangian(text)
+    # leaves D1..D3 at indices -3..6 read base points -3..9
+    table = build_difference_table(np.random.default_rng(seed).normal(size=(13, 3)), 3, -3)
+    free = list(range(-3, 10))
+    g = grad_lagrangian(e, table, free)
+    bound = 1e-9 * max(1.0, float(np.max(np.abs(g))))
+    np.testing.assert_allclose(el_operator_form(e, table, free), g, rtol=0, atol=bound)
+    np.testing.assert_allclose(level_adjoint_gradient(e, table, free), g, rtol=0, atol=bound)
+
+
 def test_gradient_rejects_empty_free_set():
     t = build_difference_table(EX1_LEFT, 2)
     with pytest.raises(InvalidArgument):
         grad_lagrangian(parse_lagrangian(L_EX1), t, [])
+
+
+def test_table_routes_share_the_leaf_range_check():
+    # EX1_LEFT has points 1..4; D2(2) reads 2..4 and D2(3) reads 3..5
+    t = build_difference_table(EX1_LEFT, 2)
+    e = parse_lagrangian("dot(D2(1),D2(3))")
+    message = r"reads points 1\.\.5, but the scene only provides 1\.\.4"
+    with pytest.raises(InvalidArgument, match=message):
+        eval_lagrangian(e, t)
+    with pytest.raises(InvalidArgument, match=message):
+        grad_lagrangian(e, t, [2])
+    with pytest.raises(InvalidArgument, match="free index 5 outside the table"):
+        grad_lagrangian(parse_lagrangian(L_EX1), t, [2, 5])

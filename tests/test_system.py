@@ -16,13 +16,13 @@ from gapspline import (
     build_layout,
     case1_tie,
     case2_tie,
-    grad_lagrangian,
     make_knot_vector,
     normalize_scene,
     parse_lagrangian,
 )
 
 from conftest import LEFT_2D, LEFT_3D, RIGHT_2D, RIGHT_3D, L_EX1, L_EX3, L_PLANNER, CUBIC
+from oracles import level_adjoint_gradient
 
 
 def _curve(points):
@@ -144,6 +144,10 @@ def test_tie_validation(scene_2d):
         build_layout(norm, (case1_tie(), case1_tie()))
     with pytest.raises(InvalidArgument):
         build_layout(norm, (CoordinateTie(3, 0, ((0, 0),), 1.0),))
+    # a source coordinate outside 0..dim-1, too large or wrapping from the end
+    for sources in (((2, 5), (4, 0)), ((2, -1), (4, -1))):
+        with pytest.raises(InvalidArgument, match="tie source coordinate"):
+            build_layout(norm, (CoordinateTie(3, 0, sources, 0.5),))
 
 
 def test_both_coordinates_of_one_point_may_be_tied(scene_2d):
@@ -286,7 +290,7 @@ def test_residual_matches_action_gradient(scene_2d, scene_3d):
         # the level-adjoint gradient on the rebuilt point sequence, pulled
         # back through the constant interior Jacobian
         table = build_difference_table(layout.full_sequence(u), 3, layout.first_index)
-        g = grad_lagrangian(system.lagrangian, table, list(layout.interior_indices))
+        g = level_adjoint_gradient(system.lagrangian, table, list(layout.interior_indices))
         pulled = np.einsum("kid,id->k", layout.interior_jacobian(), g)
         assert np.max(np.abs(r - pulled)) / scale < 1e-9
 
@@ -420,9 +424,9 @@ def test_balance_error_names_only_dead_unknowns(scene_2d):
 
 def test_leaf_outside_data_window_rejected(scene_2d):
     layout = build_layout(normalize_scene(scene_2d))
-    with pytest.raises(InvalidArgument):
+    with pytest.raises(InvalidArgument, match=r"reads points 1\.\.8, but the scene only provides -2\.\.7"):
         ResidualSystem(layout, parse_lagrangian("dot(D3(5),D1(1))"))
-    with pytest.raises(InvalidArgument):
+    with pytest.raises(InvalidArgument, match=r"reads points -5\.\.2, but"):
         ResidualSystem(layout, parse_lagrangian("dot(D1(-5),D1(1))"))
 
 
