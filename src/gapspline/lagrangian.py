@@ -338,49 +338,80 @@ def _contains_trip(node: Expr) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def lagrangian_jet(expr: Expr, leaf) -> tuple:
-    """Value, gradient and Hessian of the Lagrangian in some m parameters.
+def compile_jet(expr: Expr, slot: dict, A: np.ndarray):
+    """The Lagrangian's value, gradient and Hessian as one compiled function.
 
-    ``leaf(diff)`` returns ``(I, A)``: the leaf's vector values, shape
-    (..., dim) for any leading batch shape, and their constant (dim, m)
-    derivative, so every leaf is affine in the parameters.  The jet holds
+    ``slot`` maps each leaf's (order, index) to its row of ``A`` (rows, dim,
+    m), the constant derivatives of leaves affine in some m parameters; the
+    leaves are resolved here, once.  The returned function takes the stacked
+    leaf values (..., rows, dim) for any leading batch shape and returns
     value (...), gradient (..., m) and Hessian (..., m, m), each row computed
     as if alone.  Dot and trip are exact quadratic or cubic forms in the
     leaves, and products follow the pairwise product rule; every Hessian row
-    is symmetric bit for bit.  A Number's derivatives are zeros of shape (1,)
-    and (1, 1), which broadcast against any batch and any m.
+    is symmetric bit for bit.  A part that does not depend on the leaf values
+    comes back unbroadcast: a dot's Hessian is the constant (m, m) matrix
+    computed here, and a Number's derivatives are zeros of shape (1,) and
+    (1, 1), which broadcast against any batch and any m.
     """
     if isinstance(expr, Number):
-        return np.float64(expr.value), np.zeros(1), np.zeros((1, 1))
+        jet = np.float64(expr.value), np.zeros(1), np.zeros((1, 1))
+        return lambda values: jet
     if isinstance(expr, Dot):
-        (a, A), (b, B) = leaf(expr.left), leaf(expr.right)
-        S = A.T @ B
-        H = np.broadcast_to(S + S.T, a.shape[:-1] + S.shape)
-        return _dot(a, b), _pull(A, b) + _pull(B, a), H
+        (i, Ai), (j, Aj) = (_leaf(d, slot, A) for d in (expr.left, expr.right))
+        S = Ai.T @ Aj
+        H = S + S.T
+
+        def dot(values):
+            a, b = values[..., i, :], values[..., j, :]
+            return _dot(a, b), _pull(Ai, b) + _pull(Aj, a), H
+
+        return dot
     if isinstance(expr, Trip):
-        (a, A), (b, B), (c, C) = leaf(expr.left), leaf(expr.middle), leaf(expr.right)
-        if a.shape[-1] != 3:
+        if A.shape[1] != 3:
             raise DslTypeError("trip() needs 3D leaves")
-        # d2/da db of (a x b).c is skew(c).T = skew(-c), where skew(v) w = v x w
-        S = A.T @ _skew(-c) @ B + B.T @ _skew(-a) @ C + C.T @ _skew(-b) @ A
-        grad = _pull(A, np.cross(b, c)) + _pull(B, np.cross(c, a)) + _pull(C, np.cross(a, b))
-        return _dot(np.cross(a, b), c), grad, S + np.swapaxes(S, -1, -2)
+        legs = (expr.left, expr.middle, expr.right)
+        (i, Ai), (j, Aj), (k, Ak) = (_leaf(d, slot, A) for d in legs)
+
+        def trip(values):
+            a, b, c = values[..., i, :], values[..., j, :], values[..., k, :]
+            ab = _cross(a, b)
+            # d2/da db of (a x b).c is skew(c).T = skew(-c), where skew(v) w = v x w
+            S = Ai.T @ _skew(-c) @ Aj + Aj.T @ _skew(-a) @ Ak + Ak.T @ _skew(-b) @ Ai
+            grad = _pull(Ai, _cross(b, c)) + _pull(Aj, _cross(c, a)) + _pull(Ak, ab)
+            return _dot(ab, c), grad, S + np.swapaxes(S, -1, -2)
+
+        return trip
     if isinstance(expr, Sum):
-        jets = [lagrangian_jet(t, leaf) for t in expr.terms]
-        # value, gradient and Hessian each summed over the terms, in order
-        return tuple(sum(parts[1:], parts[0]) for parts in zip(*jets))
+        terms = [compile_jet(t, slot, A) for t in expr.terms]
+
+        def total(values):
+            jets = [term(values) for term in terms]
+            # value, gradient and Hessian each summed over the terms, in order
+            return tuple(sum(parts[1:], parts[0]) for parts in zip(*jets))
+
+        return total
     if isinstance(expr, Product):
-        v, g, H = lagrangian_jet(expr.factors[0], leaf)
-        for f in expr.factors[1:]:
-            w, h, K = lagrangian_jet(f, leaf)
-            O = g[..., :, None] * h[..., None, :]
-            v, g, H = (
-                v * w,
-                v[..., None] * h + w[..., None] * g,
-                v[..., None, None] * K + w[..., None, None] * H + (O + np.swapaxes(O, -1, -2)),
-            )
-        return v, g, H
+        head, *rest = [compile_jet(f, slot, A) for f in expr.factors]
+
+        def product(values):
+            v, g, H = head(values)
+            for factor in rest:
+                w, h, K = factor(values)
+                O = g[..., :, None] * h[..., None, :]
+                v, g, H = (
+                    v * w,
+                    v[..., None] * h + w[..., None] * g,
+                    v[..., None, None] * K + w[..., None, None] * H + (O + np.swapaxes(O, -1, -2)),
+                )
+            return v, g, H
+
+        return product
     raise InvalidArgument(f"cannot evaluate node {expr!r}")
+
+
+def _leaf(d: Diff, slot: dict, A: np.ndarray) -> tuple:
+    k = slot[d.order, d.index]
+    return k, A[k]
 
 
 # Row-wise products.  matmul treats every row of a batch as its own vector
@@ -398,11 +429,21 @@ def _pull(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (A.T @ x[..., :, None])[..., 0]
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b over the last axis: the multiplies and subtracts of np.cross."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
 def _skew(v: np.ndarray) -> np.ndarray:
     """Cross-product matrices, skew(v) @ w == v x w, shape (..., 3, 3)."""
-    x, y, z = np.moveaxis(v, -1, 0)
-    o = np.zeros_like(x)
-    return np.stack([o, -z, y, z, o, -x, -y, x, o], axis=-1).reshape(v.shape + (3,))
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    out = np.zeros(v.shape + (3,))
+    out[..., 0, 1], out[..., 0, 2] = -z, y
+    out[..., 1, 0], out[..., 1, 2] = z, -x
+    out[..., 2, 0], out[..., 2, 1] = -y, x
+    return out
 
 
 def leaf_maps(expr: Expr, offset: np.ndarray, basis: np.ndarray, first_index: int) -> tuple:
@@ -429,12 +470,7 @@ def leaf_maps(expr: Expr, offset: np.ndarray, basis: np.ndarray, first_index: in
 def _table_jet(expr: Expr, table: DifferenceTable, basis: np.ndarray) -> tuple:
     """The jet at the table's base points, over parameters moving them by basis."""
     slot, b, A = leaf_maps(expr, table.base, basis, table.first_index)
-
-    def leaf(d: Diff):
-        k = slot[d.order, d.index]
-        return b[k], A[k]
-
-    return lagrangian_jet(expr, leaf)
+    return compile_jet(expr, slot, A)(b)
 
 
 def eval_lagrangian(expr: Expr, table: DifferenceTable) -> float:

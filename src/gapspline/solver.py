@@ -2,11 +2,15 @@
 
 The reduced stationarity systems are tiny (2 to ~9 unknowns) but polynomial,
 so several real roots can coexist.  Newton runs from a small deterministic
-grid of starts; converged roots are deduplicated, filtered by the orientation
-requirement alpha > 0 and beta > 0 (the connecting curve must leave and enter
-along the data's travel direction), and ranked by the smallest total squared
-second difference of the control polygon — an explicit smoothness tie-break,
-chosen here, not prescribed by the underlying theory.
+grid of starts, all in lockstep.  Each iteration tries the full Newton step
+first and backtracks along a halving ladder only where it fails to lower the
+residual, the standard damped Newton (Nocedal & Wright, *Numerical
+Optimization*, 2nd ed., 2006, sections 3.1 and 3.5).  Converged roots are
+deduplicated, filtered by the orientation requirement alpha > 0 and
+beta > 0 (the connecting curve must leave and enter along the data's travel
+direction), and ranked by the smallest total squared second difference of
+the control polygon — an explicit smoothness tie-break, chosen here, not
+prescribed by the underlying theory.
 
 Deduplication and the orientation filter share one tolerance,
 ``1e-8 * (1 + max|u|)``.  An alpha or beta at or below it counts as
@@ -26,7 +30,9 @@ from .system import ResidualSystem, UnknownLayout
 # (alpha0, beta0) scale factors of the 3x3 start grid
 START_SCALES = (0.5, 1.0, 2.0)
 
-# Backtracking steps 1, 1/2, ..., 2**-30, all tried in one jet per iteration.
+# Backtracking steps 1, 1/2, ..., 2**-30.  ``newton_lockstep`` tries the full
+# step in one jet and the rest in a second, or, right after an iteration that
+# backtracked, the whole ladder in one jet.
 LADDER = 0.5 ** np.arange(31)
 
 
@@ -137,12 +143,17 @@ def newton_lockstep(system: ResidualSystem, starts: np.ndarray, config: SolverCo
 
     Returns arrays (u, iterations, converged, residual_max_norm), one entry
     per start.  Each iteration solves every running start's Newton step in
-    one batch, then evaluates one jet over the running starts times the
-    backtracking ``LADDER``.  A start takes the first step that lowers its
-    residual max-norm and keeps that point's residual and Jacobian for the
-    next iteration.  A start stops when its norm is within tol (converged),
-    or when its step is not finite or no step of the ladder lowers the norm
-    (failed); its iteration count is the iteration it stopped at.
+    one batch, then looks along it for the first step of the backtracking
+    ``LADDER`` that lowers the start's residual max-norm.  The full step
+    comes first: one jet covers every running start at step 1, and a second
+    covers the rest of the ladder for the starts it did not lower.  After an
+    iteration in which some start's full step failed, backtracking is likely
+    again, so the next iteration tries the whole ladder in one jet instead.
+    Either way a start takes the same first lowering step, and keeps that
+    point's residual and Jacobian for the next iteration.  A start stops
+    when its norm is within tol (converged), or when its step is not finite
+    or no step of the ladder lowers the norm (failed); its iteration count
+    is the iteration it stopped at.
     """
     u = np.array(starts, dtype=float)
     _, r, jac = system.jet(u)
@@ -152,6 +163,7 @@ def newton_lockstep(system: ResidualSystem, starts: np.ndarray, config: SolverCo
     iterations = np.full(len(u), config.max_iters)
     converged = np.zeros(len(u), dtype=bool)
     live = np.arange(len(u))
+    backtracked = False
     for iteration in range(config.max_iters):
         done = norm[live] <= config.tol
         converged[live[done]] = True
@@ -163,19 +175,30 @@ def newton_lockstep(system: ResidualSystem, starts: np.ndarray, config: SolverCo
         live, delta = live[finite], delta[finite]
         if not live.size:
             break
-        trial = u[live, None] + LADDER[:, None] * delta[:, None]
-        _, r_trial, jac_trial = system.jet(trial)
-        norm_trial = np.max(np.abs(r_trial), axis=-1)
-        lower = norm_trial < norm[live, None]
-        moved = lower.any(axis=-1)
-        iterations[live[~moved]] = iteration
-        hit = np.flatnonzero(moved)
-        first = lower[hit].argmax(axis=-1)
-        live = live[hit]
-        u[live] = trial[hit, first]
-        r[live] = r_trial[hit, first]
-        jac[live] = jac_trial[hit, first]
-        norm[live] = norm_trial[hit, first]
+        # positions in live of the starts still looking for a step
+        rows = np.arange(live.size)
+        for n, steps in enumerate((LADDER,) if backtracked else (LADDER[:1], LADDER[1:])):
+            idx = live[rows]
+            trial = u[idx, None] + steps[:, None] * delta[rows, None]
+            _, r_trial, jac_trial = system.jet(trial)
+            norm_trial = np.max(np.abs(r_trial), axis=-1)
+            lower = norm_trial < norm[idx, None]
+            if n == 0:
+                backtracked = not lower[:, 0].all()
+            moved = lower.any(axis=-1)
+            hit = np.flatnonzero(moved)
+            first = lower[hit].argmax(axis=-1)
+            idx = idx[hit]
+            u[idx] = trial[hit, first]
+            r[idx] = r_trial[hit, first]
+            jac[idx] = jac_trial[hit, first]
+            norm[idx] = norm_trial[hit, first]
+            rows = rows[~moved]
+            if not rows.size:
+                break
+        if rows.size:
+            iterations[live[rows]] = iteration
+            live = np.delete(live, rows)
     converged[live] = norm[live] <= config.tol
     return u, iterations, converged, norm
 
@@ -184,9 +207,11 @@ def newton(system: ResidualSystem, u0: np.ndarray, config: SolverConfig):
     """Damped Newton iteration from one start: ``newton_lockstep`` on one row.
 
     Returns (u, iterations, converged, residual_max_norm), the last three as
-    Python scalars.  Each step backtracks along ``LADDER`` (1, 1/2, ...,
-    2**-30) to the first step that lowers the residual max-norm; when none
-    does, the start has failed.
+    Python scalars.  Each step is the full Newton step when that lowers the
+    residual max-norm, and otherwise the first of ``LADDER`` (1/2, 1/4, ...,
+    2**-30) that does; when none does, the start has failed.  Since a row's
+    jet does not depend on its batch, a start's path here is the one it takes
+    among others in ``newton_lockstep``, bit for bit.
     """
     u, iterations, converged, norm = newton_lockstep(
         system, np.asarray(u0, dtype=float)[None], config

@@ -22,7 +22,7 @@ import numpy as np
 
 from .bspline import BSplineCurve, make_knot_vector
 from .errors import BalanceError, DegenerateScene, InvalidArgument
-from .lagrangian import Expr, lagrangian_jet, leaf_maps, validate_lagrangian
+from .lagrangian import Expr, compile_jet, leaf_maps, validate_lagrangian
 from .rigid import RigidTransform, normalize_2d, normalize_3d
 
 
@@ -304,9 +304,11 @@ class ResidualSystem:
 
     Every leaf D<order>(<index>) is affine in u, ``I = b + A @ u``, because
     the control sequence is and differencing is linear; ``leaf_maps`` builds
-    (b, A) once per distinct leaf.  action, residual and jacobian are then the
-    value, exact gradient and exact Hessian of one jet of the Lagrangian at u;
-    ``jet`` evaluates all three over a batch of u at once.
+    (b, A) once per distinct leaf, and ``compile_jet`` turns the Lagrangian
+    into one function of the leaf values, also once per system.  action,
+    residual and jacobian are then the value, exact gradient and exact
+    Hessian of that jet at u; ``jet`` evaluates all three over a batch of u
+    at once.
     """
 
     def __init__(self, layout: UnknownLayout, lagrangian: Expr):
@@ -315,8 +317,9 @@ class ResidualSystem:
         self.lagrangian = lagrangian
 
         offset, basis = layout.sequence_map()
-        self._slot, self._b, self._A = leaf_maps(lagrangian, offset, basis, layout.first_index)
+        slot, self._b, self._A = leaf_maps(lagrangian, offset, basis, layout.first_index)
         self._check_balance()
+        self._jet = compile_jet(lagrangian, slot, self._A)
 
     @property
     def unknown_count(self) -> int:
@@ -337,19 +340,16 @@ class ResidualSystem:
     def jet(self, u: np.ndarray) -> tuple:
         """Action, residual and exact Jacobian at every row of u, (..., m).
 
-        One walk of the Lagrangian covers the whole batch: every leaf's
+        One call of the compiled jet covers the whole batch: every leaf's
         values ``b + A @ u`` are formed for all rows at once.  Returns value
-        (...), gradient (..., m) and Hessian (..., m, m).
+        (...), gradient (..., m) and Hessian (..., m, m); a Hessian that does
+        not depend on u is broadcast to the batch here, as a read-only view.
         """
         u = self.layout.check_unknowns(u, batch=True)
         # one matrix-vector product per row and leaf, as for a single u
         values = self._b + (self._A @ u[..., None, :, None])[..., 0]
-
-        def leaf(d):
-            k = self._slot[d.order, d.index]
-            return values[..., k, :], self._A[k]
-
-        return lagrangian_jet(self.lagrangian, leaf)
+        value, grad, hess = self._jet(values)
+        return value, grad, np.broadcast_to(hess, u.shape[:-1] + (self.unknown_count,) * 2)
 
     def action(self, u: np.ndarray) -> float:
         """Lagrangian value at the reconstruction."""

@@ -15,7 +15,7 @@ production route to machine precision is an independent check of both.
 import numpy as np
 
 from .errors import InvalidArgument
-from .lagrangian import DifferenceTable, Diff, Expr, lagrangian_jet, lagrangian_leaves
+from .lagrangian import DifferenceTable, Expr, compile_jet, lagrangian_leaves
 
 
 def shift_difference(values: np.ndarray, power: int = 1, inverse: bool = False) -> np.ndarray:
@@ -50,13 +50,11 @@ def leaf_partial_sequences(expr: Expr, table: DifferenceTable) -> dict[int, np.n
     """
     keys = list(dict.fromkeys((d.order, d.index) for d in lagrangian_leaves(expr)))
     n, dim = table.base.shape
-    eye = np.eye(len(keys) * dim)  # one parameter per coordinate of each leaf
-
-    def leaf(d: Diff):
-        k = keys.index((d.order, d.index))
-        return table.invariant(d.index, d.order), eye[k * dim : (k + 1) * dim]
-
-    bars = np.broadcast_to(lagrangian_jet(expr, leaf)[1], eye.shape[:1]).reshape(-1, dim)
+    size = len(keys) * dim  # one parameter per coordinate of each leaf
+    A = np.eye(size).reshape(len(keys), dim, size)
+    values = np.array([table.invariant(index, order) for order, index in keys])
+    jet = compile_jet(expr, {key: k for k, key in enumerate(keys)}, A)
+    bars = np.broadcast_to(jet(values)[1], (size,)).reshape(-1, dim)
     out: dict[int, np.ndarray] = {}
     for (order, index), bar in zip(keys, bars):
         out.setdefault(order, np.zeros((n, dim)))[index - table.first_index] = bar

@@ -13,6 +13,8 @@ from gapspline.lagrangian import (
     Product,
     Sum,
     Trip,
+    _cross,
+    _skew,
     build_difference_table,
     eval_lagrangian,
     format_lagrangian,
@@ -214,6 +216,41 @@ def test_degenerate_triple_product_is_zero():
     t = build_difference_table(pts, 2)
     e = parse_lagrangian("trip(D2(1),D2(1),D2(3))")
     assert eval_lagrangian(e, t) == pytest.approx(0.0, abs=1e-12)
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+# signed zeros, infinities, NaNs of both signs and with a payload, subnormals
+_SPECIAL = np.array(
+    [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 2.2e-308, 1.5, -3.0, 1e300]
+    + list(np.array([0x7FF8000000000123, -0x0007FFFFFFFFFEDD], dtype=np.int64).view(float))
+)
+
+
+def test_cross_is_np_cross_bit_for_bit():
+    rng = np.random.default_rng(6)
+    special = rng.choice(_SPECIAL, size=(2, 60000, 3))
+    spread = rng.normal(size=(2, 60000, 3)) * 10.0 ** rng.integers(-200, 200, size=(2, 60000, 3))
+    with np.errstate(all="ignore"):
+        for a, b in (special, spread, spread[:, :12].reshape(2, 4, 1, 3, 3), spread[:, 0]):
+            np.testing.assert_array_equal(_bits(_cross(a, b)), _bits(np.cross(a, b)))
+
+
+def test_skew_is_the_cross_product_matrix():
+    rng = np.random.default_rng(7)
+    v = rng.choice(_SPECIAL, size=(5000, 3))
+    x, y, z = v.T
+    o = np.zeros(len(v))
+    rows = ([o, -z, y], [z, o, -x], [-y, x, o])
+    expected = np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+    np.testing.assert_array_equal(_bits(_skew(v)), _bits(expected))
+    # matmul adds the diagonal's 0 * w and may fuse a multiply-add, so the
+    # product equals v x w exactly where every product and sum is exact
+    v, w = rng.integers(-1000, 1000, size=(2, 5000, 3)).astype(float)
+    np.testing.assert_array_equal((_skew(v) @ w[..., None])[..., 0], np.cross(v, w))
+    np.testing.assert_array_equal(_skew(v[0]) @ w[0], np.cross(v[0], w[0]))
 
 
 def test_translation_and_rotation_invariance():

@@ -240,10 +240,15 @@ def test_solve_quartic_converges_with_budget(wiggle_scene):
     assert solution.control_points.shape == (5, 2)
 
 
-# the ids name the scene and the ladder's halving factor
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+# the ids name the scene and the ladder's halving factor; mul_1_1's 18 starts
+# nearly all backtrack, so it shows that the order of the jets changes nothing
 @pytest.mark.parametrize(
     "name",
-    ["example1", "example2", "example3", "example4", "mul_0_1"],
+    ["example1", "example2", "example3", "example4", "mul_0_1", "mul_1_1"],
     ids=lambda name: f"{name}-0.5",
 )
 def test_lockstep_agrees_with_newton_start_by_start(name):
@@ -254,8 +259,8 @@ def test_lockstep_agrees_with_newton_start_by_start(name):
     for k, u0 in enumerate(starts):
         for u, its, ok, norm in (newton(system, u0, config), _one_start_newton(system, u0, config)):
             assert (ok, its) == (converged[k], iterations[k])
-            np.testing.assert_allclose(found[k], u, rtol=0.0, atol=1e-12)
-            assert norms[k] == pytest.approx(norm, rel=1e-9, abs=1e-15)
+            np.testing.assert_array_equal(_bits(found[k]), _bits(u))
+            assert _bits(norms[k]) == _bits(norm)
 
 
 def test_lockstep_keeps_the_product_scenes_converged_starts():
@@ -318,13 +323,44 @@ def test_lockstep_walks_one_jet_per_iteration():
     assert converged.tolist() == [True, True, False, True]
     assert iterations[0] > iterations[1] > iterations[3] > 0 == iterations[2]
     # one jet at the starts, then one per iteration that still has running
-    # starts, each over those starts times the whole ladder
+    # starts, each at those starts' full steps, since every full step lowers
+    # the residual
     assert len(system.shapes) == 1 + iterations.max()
     assert system.shapes[0] == (4, 2)
     running = [np.count_nonzero(iterations > k) for k in range(iterations.max())]
-    assert system.shapes[1:] == [(n, len(LADDER), 2) for n in running]
+    assert system.shapes[1:] == [(n, 1, 2) for n in running]
 
     system = _CountingJets(_SquareAndIdentity())
     _, iterations, converged, _ = newton_lockstep(system, starts[:1], SolverConfig(max_iters=3))
     assert not converged[0] and iterations[0] == 3
-    assert system.shapes == [(1, 2)] + [(1, len(LADDER), 2)] * 3
+    assert system.shapes == [(1, 2)] + [(1, 1, 2)] * 3
+
+
+class _Arctan:
+    """r(u) = arctan(u) row by row: the full Newton step overshoots from |u| > 1.4."""
+
+    def jet(self, u):
+        jac = np.zeros(u.shape + u.shape[-1:])
+        diagonal = np.arange(u.shape[-1])
+        jac[..., diagonal, diagonal] = 1.0 / (1.0 + u * u)
+        return None, np.arctan(u), jac
+
+
+def test_lockstep_backtracks_only_where_the_full_step_fails():
+    system = _CountingJets(_Arctan())
+    # the first start's full step overshoots at iteration 0, and half of it
+    # lowers the residual; the second start never backtracks
+    starts = np.array([[1.5, 0.5], [0.5, 0.5]])
+    config = SolverConfig()
+    found, iterations, converged, norms = newton_lockstep(system, starts, config)
+    assert converged.all() and 0 < iterations[0] and 0 < iterations[1]
+    # iteration 0: the full steps, then the rest of the ladder for the start
+    # whose full step failed; iteration 1: the whole ladder for every start,
+    # since one backtracked; from then on every full step lowers again
+    running = [np.count_nonzero(iterations > k) for k in range(iterations.max())]
+    assert system.shapes[:4] == [(2, 2), (2, 1, 2), (1, 30, 2), (2, 31, 2)]
+    assert system.shapes[4:] == [(n, 1, 2) for n in running[2:]]
+    for k, u0 in enumerate(starts):
+        u, its, ok, norm = newton(_Arctan(), u0, config)
+        np.testing.assert_array_equal(_bits(found[k]), _bits(u))
+        assert (its, ok, _bits(norms[k])) == (iterations[k], converged[k], _bits(norm))
