@@ -26,8 +26,6 @@ from .errors import (
     UnsupportedComplexity,
 )
 from .lagrangian import (
-    DifferenceTable,
-    build_difference_table,
     eval_lagrangian,
     format_lagrangian,
     grad_lagrangian,
@@ -70,7 +68,7 @@ from .system import (
     normalize_scene,
 )
 from .svg import render_svg
-from .variational import el_gradient, el_operator_form, euler_lagrange, shift_difference
+from .variational import el_gradient, shift_difference
 
 __version__ = "0.1.0"
 
@@ -90,8 +88,6 @@ __all__ = [
     "OrientationFailure",
     "DegenerateScene",
     "UnsupportedComplexity",
-    "DifferenceTable",
-    "build_difference_table",
     "parse_lagrangian",
     "format_lagrangian",
     "validate_lagrangian",
@@ -99,8 +95,6 @@ __all__ = [
     "grad_lagrangian",
     "shift_difference",
     "el_gradient",
-    "el_operator_form",
-    "euler_lagrange",
     "RigidTransform",
     "normalize_2d",
     "normalize_3d",

@@ -90,7 +90,10 @@ def _parse_curve(obj, dim: int, context: str) -> BSplineCurve:
         kv = KnotVector(tuple(float(t) for t in knots), degree)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{context}.knots invalid: {exc}") from exc
-    pts = np.asarray(points, dtype=float)
+    try:
+        pts = np.asarray(points, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{context}.points must be an n x {dim} array of numbers") from exc
     if pts.ndim != 2 or pts.shape[1] != dim:
         raise FormatError(f"{context}.points must be an n x {dim} array")
     return BSplineCurve(kv, pts)
@@ -208,11 +211,13 @@ def read_solution(text: str) -> dict:
 
 
 def solution_curve_from_document(doc: dict) -> BSplineCurve:
-    """Rebuild the original-frame solution curve stored in a solution file."""
+    """The original-frame solution curve of a solution file, parsed like a
+    scene file's curves: the solution's degree and knots, ``original_points``."""
     info = _require(doc, "solution", "solution file")
-    kv = KnotVector(tuple(float(t) for t in _require(info, "knots", "solution")),
-                    _require(info, "degree", "solution"))
-    return BSplineCurve(kv, np.asarray(doc["original_points"], dtype=float))
+    if not isinstance(info, dict):
+        raise FormatError("solution must be an object with degree and knots")
+    curve = {**info, "points": _require(doc, "original_points", "solution file")}
+    return _parse_curve(curve, _require(doc, "dim", "solution file"), "solution")
 
 
 def write_csv(samples: np.ndarray, ts: np.ndarray) -> str:
@@ -230,5 +235,10 @@ def read_csv(text: str) -> tuple[list[str], np.ndarray]:
     if not lines:
         raise FormatError("empty CSV")
     header = lines[0].split(",")
-    data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    return header, data
+    rows = [ln.split(",") for ln in lines[1:]]
+    if any(len(row) != len(header) for row in rows):
+        raise FormatError(f"every CSV row must have {len(header)} fields, as the header does")
+    try:
+        return header, np.array([[float(v) for v in row] for row in rows])
+    except ValueError as exc:
+        raise FormatError(f"CSV data is not numeric: {exc}") from exc

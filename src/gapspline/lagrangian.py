@@ -27,72 +27,6 @@ MAX_ORDER = 3
 
 
 # ---------------------------------------------------------------------------
-# difference table
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class DifferenceTable:
-    """Forward differences of a point sequence, levels 0..max_order.
-
-    ``levels[l][j]`` is the order-l difference starting at base point j;
-    base point j carries external index ``first_index + j``.
-    """
-
-    levels: tuple[np.ndarray, ...]
-    first_index: int
-
-    @property
-    def base(self) -> np.ndarray:
-        return self.levels[0]
-
-    @property
-    def dim(self) -> int:
-        return self.levels[0].shape[1]
-
-    @property
-    def max_order(self) -> int:
-        return len(self.levels) - 1
-
-    def index_range(self, order: int) -> tuple[int, int]:
-        """Inclusive external index range valid for the given order."""
-        if not 0 <= order <= self.max_order:
-            raise InvalidArgument(f"difference order {order} not in table (max {self.max_order})")
-        lo = self.first_index
-        return lo, lo + self.levels[order].shape[0] - 1
-
-    def invariant(self, index: int, order: int) -> np.ndarray:
-        """The difference vector I_{index, order}."""
-        lo, hi = self.index_range(order)
-        if not lo <= index <= hi:
-            raise InvalidArgument(
-                f"difference D{order}({index}) needs base points outside the "
-                f"sequence (valid start indices {lo}..{hi})"
-            )
-        return self.levels[order][index - self.first_index]
-
-
-def build_difference_table(
-    points: np.ndarray, max_order: int, first_index: int = 1
-) -> DifferenceTable:
-    """Forward-difference table p_i^l = p_{i+1}^{l-1} - p_i^{l-1} up to max_order."""
-    base = np.asarray(points, dtype=float)
-    if base.ndim != 2 or base.shape[1] not in (2, 3):
-        raise InvalidArgument(f"points must be (n, 2) or (n, 3), got {base.shape}")
-    if not 0 <= max_order < base.shape[0]:
-        raise InvalidArgument(
-            f"max_order must be in [0, {base.shape[0] - 1}] for {base.shape[0]} points"
-        )
-    levels = [base]
-    for _ in range(max_order):
-        prev = levels[-1]
-        levels.append(prev[1:] - prev[:-1])
-    for lvl in levels:
-        lvl.flags.writeable = False
-    return DifferenceTable(tuple(levels), first_index)
-
-
-# ---------------------------------------------------------------------------
 # expression nodes
 # ---------------------------------------------------------------------------
 
@@ -467,21 +401,41 @@ def leaf_maps(expr: Expr, offset: np.ndarray, basis: np.ndarray, first_index: in
     return {key: k for k, key in enumerate(keys)}, b, A
 
 
-def _table_jet(expr: Expr, table: DifferenceTable, basis: np.ndarray) -> tuple:
-    """The jet at the table's base points, over parameters moving them by basis."""
-    slot, b, A = leaf_maps(expr, table.base, basis, table.first_index)
+def as_points(points) -> np.ndarray:
+    """A point sequence as a float array (n, 2) or (n, 3)."""
+    base = np.asarray(points, dtype=float)
+    if base.ndim != 2 or base.shape[1] not in (2, 3):
+        raise InvalidArgument(f"points must be (n, 2) or (n, 3), got {base.shape}")
+    return base
+
+
+def _points_jet(expr: Expr, points, free: list, first_index: int) -> tuple:
+    """The jet at the points, over one parameter per coordinate of each free point."""
+    points = as_points(points)
+    n, dim = points.shape
+    basis = np.zeros((len(free), dim, n, dim))
+    for row, index in enumerate(free):
+        if not first_index <= index < first_index + n:
+            raise InvalidArgument(
+                f"free index {index} outside the points {first_index}..{first_index + n - 1}"
+            )
+        basis[row, :, index - first_index] = np.eye(dim)
+    slot, b, A = leaf_maps(expr, points, basis.reshape(-1, n, dim), first_index)
     return compile_jet(expr, slot, A)(b)
 
 
-def eval_lagrangian(expr: Expr, table: DifferenceTable) -> float:
-    """Scalar value of the Lagrangian on the given difference table."""
-    return float(_table_jet(expr, table, np.zeros((0,) + table.base.shape))[0])
+def eval_lagrangian(expr: Expr, points, first_index: int = 1) -> float:
+    """Scalar value of the Lagrangian on a point sequence (n, dim).
+
+    Point j of the sequence carries index ``first_index + j``.
+    """
+    return float(_points_jet(expr, points, [], first_index)[0])
 
 
 def grad_lagrangian(
-    expr: Expr, table: DifferenceTable, free: "list[int] | tuple[int, ...]"
+    expr: Expr, points, free: "list[int] | tuple[int, ...]", first_index: int = 1
 ) -> np.ndarray:
-    """Exact gradient of the Lagrangian w.r.t. the named base points.
+    """Exact gradient of the Lagrangian w.r.t. the named points.
 
     The jet's gradient over one parameter per coordinate of each free point,
     so the same leaf maps as :class:`gapspline.system.ResidualSystem` bind the
@@ -490,13 +444,7 @@ def grad_lagrangian(
     free = list(free)
     if not free:
         raise InvalidArgument("free index set must not be empty")
-    n, dim = table.base.shape
-    basis = np.zeros((len(free), dim, n, dim))
-    for row, index in enumerate(free):
-        pos = index - table.first_index
-        if not 0 <= pos < n:
-            raise InvalidArgument(f"free index {index} outside the table")
-        basis[row, :, pos] = np.eye(dim)
-    grad = _table_jet(expr, table, basis.reshape(-1, n, dim))[1]
+    grad = _points_jet(expr, points, free, first_index)[1]
     # a leaf-free Lagrangian's gradient is a broadcastable zero of shape (1,)
+    dim = np.shape(points)[1]
     return np.broadcast_to(grad, (len(free) * dim,)).reshape(len(free), dim).copy()

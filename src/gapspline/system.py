@@ -172,10 +172,6 @@ class UnknownLayout:
     def first_index(self) -> int:
         return 2 - len(self.normalized.left.points)
 
-    @property
-    def interior_indices(self) -> range:
-        return range(2, self.point_count)
-
     def check_unknowns(self, u: np.ndarray, batch: bool = False) -> np.ndarray:
         """u as floats of shape (unknown_count,); with batch, (..., unknown_count)."""
         u = np.asarray(u, dtype=float)
@@ -210,10 +206,6 @@ class UnknownLayout:
         scene = self.normalized.original
         knots = make_knot_vector(scene.solution_degree, scene.solution_pieces)
         return BSplineCurve(knots, self.solution_points(u))
-
-    def interior_jacobian(self) -> np.ndarray:
-        """d(interior points)/d(unknowns): (unknown_count, n-2, dim), constant."""
-        return self.basis[:, 1:-1]
 
 
 def build_layout(

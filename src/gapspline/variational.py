@@ -7,15 +7,17 @@ operator expression
 
     dL/dq_i = sum_l (S^-1 - id)^l [ dL/dI_{.,l} ]_i
 
-where S is the index shift.  This module implements that form over the
-difference table's levels, without leaf maps, so its agreement with the
-production route to machine precision is an independent check of both.
+where S is the index shift.  This module implements that form: the leaf maps
+only bind the leaves to the points, and the shift operators, not the maps'
+constant derivatives, carry the partials back to the points.  Its agreement
+with the production route to machine precision is an independent check of
+both.
 """
 
 import numpy as np
 
 from .errors import InvalidArgument
-from .lagrangian import DifferenceTable, Expr, compile_jet, lagrangian_leaves
+from .lagrangian import Expr, as_points, compile_jet, leaf_maps
 
 
 def shift_difference(values: np.ndarray, power: int = 1, inverse: bool = False) -> np.ndarray:
@@ -42,57 +44,34 @@ def shift_difference(values: np.ndarray, power: int = 1, inverse: bool = False) 
     return v
 
 
-def leaf_partial_sequences(expr: Expr, table: DifferenceTable) -> dict[int, np.ndarray]:
-    """Per order l, the sequence i -> dL/dI_{i,l} on the full base window.
+def leaf_partial_sequences(expr: Expr, points, first_index: int = 1) -> dict[int, np.ndarray]:
+    """Per order l, the sequence i -> dL/dI_{i,l} on the points' window.
 
-    Entries are zero wherever the Lagrangian has no matching leaf.  Keys are
-    the orders that actually occur.
+    The leaf values come from ``leaf_maps`` with no parameters.  Entries are
+    zero wherever the Lagrangian has no matching leaf; keys are the orders
+    that occur.
     """
-    keys = list(dict.fromkeys((d.order, d.index) for d in lagrangian_leaves(expr)))
-    n, dim = table.base.shape
-    size = len(keys) * dim  # one parameter per coordinate of each leaf
-    A = np.eye(size).reshape(len(keys), dim, size)
-    values = np.array([table.invariant(index, order) for order, index in keys])
-    jet = compile_jet(expr, {key: k for k, key in enumerate(keys)}, A)
+    points = as_points(points)
+    n, dim = points.shape
+    slot, values, _ = leaf_maps(expr, points, np.zeros((0, n, dim)), first_index)
+    size = len(slot) * dim  # one parameter per coordinate of each leaf
+    jet = compile_jet(expr, slot, np.eye(size).reshape(len(slot), dim, size))
     bars = np.broadcast_to(jet(values)[1], (size,)).reshape(-1, dim)
     out: dict[int, np.ndarray] = {}
-    for (order, index), bar in zip(keys, bars):
-        out.setdefault(order, np.zeros((n, dim)))[index - table.first_index] = bar
+    for (order, index), bar in zip(slot, bars):
+        out.setdefault(order, np.zeros((n, dim)))[index - first_index] = bar
     return out
 
 
-def el_gradient(expr: Expr, table: DifferenceTable) -> np.ndarray:
-    """Gradient rows dL/dq_i for every base point, by the operator form.
+def el_gradient(expr: Expr, points, first_index: int = 1) -> np.ndarray:
+    """Gradient rows dL/dq_i for every point, (n, dim), by the operator form.
 
-    Each order-l partial sequence gets l window-preserving applications of
-    (S^-1 - id); the results sum to the gradient.
+    Row j is index ``first_index + j``.  Each order-l partial sequence gets l
+    window-preserving applications of (S^-1 - id); the results sum to the
+    gradient, which equals ``grad_lagrangian``'s by summation by parts.
     """
-    n = table.base.shape[0]
-    total = np.zeros((n, table.dim))
-    for order, seq in leaf_partial_sequences(expr, table).items():
+    points = as_points(points)
+    total = np.zeros(points.shape)
+    for order, seq in leaf_partial_sequences(expr, points, first_index).items():
         total += shift_difference(seq, power=order, inverse=True)
     return total
-
-
-def euler_lagrange(expr: Expr, table: DifferenceTable, index: int) -> np.ndarray:
-    """Single gradient row dL/dq_index via the operator form."""
-    return el_operator_form(expr, table, [index])[0]
-
-
-def el_operator_form(expr: Expr, table: DifferenceTable, free) -> np.ndarray:
-    """Operator-form gradient rows for the named free indices, (len(free), dim).
-
-    Agrees with :func:`gapspline.lagrangian.grad_lagrangian` on the same
-    indices — that equality is the summation-by-parts identity.
-    """
-    grad = el_gradient(expr, table)
-    n = table.base.shape[0]
-    rows = []
-    for index in free:
-        pos = index - table.first_index
-        if not 0 <= pos < n:
-            raise InvalidArgument(f"free index {index} outside the base window")
-        rows.append(grad[pos])
-    if not rows:
-        raise InvalidArgument("free index set must not be empty")
-    return np.array(rows)

@@ -196,6 +196,36 @@ def test_file_errors_exit_2_with_one_line(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+def _malformed_files(tmp_path):
+    """A scene with a non-numeric point and a solution with a non-numeric knot."""
+    scene = json.loads(Path(EX1).read_text())
+    scene["left"]["points"][1] = [1.0, "a"]
+    (tmp_path / "scene.json").write_text(json.dumps(scene))
+    _, sol = _solve_to(tmp_path)
+    solution = json.loads(sol.read_text())
+    solution["solution"]["knots"][2] = "b"
+    (tmp_path / "solution.json").write_text(json.dumps(solution))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "{tmp}/scene.json"], "left.points must be an n x 2 array of numbers"),
+        (["eval", "{tmp}/solution.json"], "solution.knots invalid"),
+        (["render", EX1, "--solution", "{tmp}/solution.json"], "solution.knots invalid"),
+    ],
+    ids=["solve-scene", "eval-solution", "render-solution"],
+)
+def test_malformed_files_exit_2_with_one_line(tmp_path, capsys, argv, message):
+    _malformed_files(tmp_path)
+    capsys.readouterr()
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+    assert captured.out == ""
+
+
 _ORIENTATION = "boundary tangents would point away from the gap"
 
 

@@ -1,5 +1,7 @@
 """Document serialization: deterministic JSON, scene/solution files, CSV."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,8 @@ def test_read_scene_error_paths(scene_2d):
         corrupt(lambda d: d["left"].update(degree=3.0)),
         corrupt(lambda d: d["left"].update(knots=[0, 0, 1, 1])),
         corrupt(lambda d: d["left"].update(points=[[0, 0, 0]] * 4)),
+        corrupt(lambda d: d["left"].update(points=[[0, "a"]] * 4)),
+        corrupt(lambda d: d["right"].update(points=[[0, 0], [1, 1, 1], [2, 2], [3, 3]])),
         corrupt(lambda d: d.update(solution=[3, 1])),
         corrupt(lambda d: d["solution"].update(pieces="two")),
         corrupt(lambda d: d.update(lagrangian=7)),
@@ -133,6 +137,8 @@ def test_read_scene_error_paths(scene_2d):
             read_scene(text)
     # JSON true is not an integer, though Python's bool is an int
     for fn, message in [
+        (lambda d: d["left"].update(points=[[0, "a"]] * 4), r"left.points must be an n x 2 array of numbers"),
+        (lambda d: d["right"].update(points=[[0, 0], [1]]), r"right.points must be an n x 2 array of numbers"),
         (lambda d: d.update(version=True), "version True"),
         (lambda d: d["left"].update(degree=True), "left.degree must be an integer"),
         (lambda d: d["solution"].update(degree=True), "must be integers"),
@@ -182,6 +188,32 @@ def test_solution_curve_reconstruction(scene_2d):
     np.testing.assert_allclose(curve.point(1.0), scene_2d.right.points[0], atol=1e-10)
 
 
+def test_solution_curve_error_paths(scene_2d):
+    normalized, solution = _solved(scene_2d)
+    good = read_solution(write_solution(scene_2d, solution, normalized.transform, L_EX1, None))
+
+    def corrupt(fn):
+        doc = json.loads(json.dumps(good))
+        fn(doc)
+        return doc
+
+    for fn, message in [
+        (lambda d: d["solution"].update(knots=[0, 0, 0, "a", 1, 1, 1, 1]), "solution.knots invalid"),
+        (lambda d: d["solution"].update(knots=None), "solution.knots invalid"),
+        (lambda d: d["solution"].pop("knots"), "solution is missing required field 'knots'"),
+        (lambda d: d["solution"].update(degree=True), "solution.degree must be an integer"),
+        (lambda d: d["solution"].update(degree=3.0), "solution.degree must be an integer"),
+        (lambda d: d.update(solution=[3, 1]), "solution must be an object"),
+        (lambda d: d["original_points"][1].__setitem__(0, "x"), "array of numbers"),
+        (lambda d: d["original_points"][1].append(0.0), "array of numbers"),
+        (lambda d: d.update(original_points=[[0.0, 0.0, 0.0]] * 4), r"n x 2 array$"),
+        (lambda d: d.update(dim=5), "n x 5 array$"),
+        (lambda d: d.pop("dim"), "missing required field 'dim'"),
+    ]:
+        with pytest.raises(FormatError, match=message):
+            solution_curve_from_document(corrupt(fn))
+
+
 def test_read_solution_rejects_scene_files(scene_2d):
     with pytest.raises(FormatError):
         read_solution(write_scene(SceneDocument(scene_2d, True, L_EX1)))
@@ -210,3 +242,10 @@ def test_csv_3d_header(scene_3d):
 def test_csv_rejects_empty_text():
     with pytest.raises(FormatError):
         read_csv("")
+
+
+def test_csv_rejects_malformed_rows():
+    with pytest.raises(FormatError, match="CSV data is not numeric"):
+        read_csv("t,x,y\n0,1,2\n0.5,one,2\n")
+    with pytest.raises(FormatError, match="every CSV row must have 3 fields"):
+        read_csv("t,x,y\n0,1\n0.5,1,2\n")

@@ -15,58 +15,64 @@ from gapspline.lagrangian import (
     Trip,
     _cross,
     _skew,
-    build_difference_table,
     eval_lagrangian,
     format_lagrangian,
     grad_lagrangian,
+    leaf_maps,
     leaf_point_span,
     parse_lagrangian,
     validate_lagrangian,
 )
-from gapspline.variational import el_operator_form
+from gapspline.variational import el_gradient
 
 EX1_LEFT = np.array([(0.0, 0.0), (1.0, 4.0), (2.0, 1.0), (4.0, 3.0)])
 
 
-# ---------------------------------------------------------------- table
+# ---------------------------------------------------------------- difference table
+
+
+def _leaf_values(text, points, first_index=1):
+    """Each distinct leaf's vector on the points, keyed by (order, index)."""
+    slot, b, _ = leaf_maps(parse_lagrangian(text), points, np.zeros((0,) + points.shape), first_index)
+    return {key: b[k] for key, k in slot.items()}
 
 
 def test_difference_table_levels():
-    t = build_difference_table(EX1_LEFT, 2, first_index=1)
-    np.testing.assert_allclose(t.invariant(1, 1), (1, 4))
-    np.testing.assert_allclose(t.invariant(1, 2), (0, -7))
-    np.testing.assert_allclose(t.invariant(2, 2), (1, 5))
+    values = _leaf_values("dot(D1(1),D2(1)) + dot(D2(2),D2(2))", EX1_LEFT)
+    np.testing.assert_array_equal(values[1, 1], (1, 4))
+    np.testing.assert_array_equal(values[2, 1], (0, -7))
+    np.testing.assert_array_equal(values[2, 2], (1, 5))
+    # the same leaves, read through the Lagrangian's value
+    assert eval_lagrangian(parse_lagrangian("dot(D1(1),D2(1))"), EX1_LEFT) == -28.0
+    assert eval_lagrangian(parse_lagrangian("dot(D2(2),D2(2))"), EX1_LEFT) == 26.0
 
 
 def test_difference_table_first_index_offsets():
-    t = build_difference_table(EX1_LEFT, 2, first_index=-2)
-    np.testing.assert_allclose(t.invariant(-2, 2), (0, -7))
-    assert t.index_range(0) == (-2, 1)
-    assert t.index_range(2) == (-2, -1)
-    with pytest.raises(InvalidArgument):
-        t.invariant(0, 2)
-
-
-def test_difference_table_linearity():
-    rng = np.random.default_rng(2)
-    a = rng.normal(size=(6, 3))
-    b = rng.normal(size=(6, 3))
-    ta = build_difference_table(a, 3)
-    tb = build_difference_table(b, 3)
-    tab = build_difference_table(a + b, 3)
-    for lvl in range(4):
-        np.testing.assert_allclose(tab.levels[lvl], ta.levels[lvl] + tb.levels[lvl], atol=1e-12)
-
-
-def test_table_rejects_excess_order():
-    with pytest.raises(InvalidArgument):
-        build_difference_table(EX1_LEFT, 4)
+    values = _leaf_values("dot(D2(-2),D2(-1))", EX1_LEFT, first_index=-2)
+    np.testing.assert_array_equal(values[2, -2], (0, -7))
+    assert eval_lagrangian(parse_lagrangian("dot(D2(-2),D2(-1))"), EX1_LEFT, -2) == -35.0
+    # D2(0) reads points 0..2, past the last point, index 1
+    with pytest.raises(InvalidArgument, match=r"reads points 0\.\.2, but the scene only provides -2\.\.1"):
+        eval_lagrangian(parse_lagrangian("dot(D2(0),D2(0))"), EX1_LEFT, -2)
 
 
 def test_collinear_equispaced_second_differences_vanish():
     pts = np.array([(i, 2.0 * i) for i in range(5)], dtype=float)
-    t = build_difference_table(pts, 2)
-    np.testing.assert_allclose(t.levels[2], 0.0, atol=1e-15)
+    values = _leaf_values("dot(D2(1),D2(2)) + dot(D2(3),D2(3))", pts)
+    np.testing.assert_array_equal(np.array(list(values.values())), 0.0)
+
+
+def test_points_must_be_a_2d_or_3d_sequence():
+    e = parse_lagrangian("dot(D1(1),D1(1))")
+    for points in (np.zeros(4), np.zeros((4, 4)), np.zeros((2, 4, 2))):
+        with pytest.raises(InvalidArgument, match=r"points must be \(n, 2\) or \(n, 3\)"):
+            eval_lagrangian(e, points)
+        with pytest.raises(InvalidArgument, match=r"points must be \(n, 2\) or \(n, 3\)"):
+            grad_lagrangian(e, points, [1])
+        with pytest.raises(InvalidArgument, match=r"points must be \(n, 2\) or \(n, 3\)"):
+            el_gradient(e, points)
+    # a nested list is a point sequence too
+    assert eval_lagrangian(e, EX1_LEFT.tolist()) == 17.0
 
 
 # ---------------------------------------------------------------- parser
@@ -184,7 +190,7 @@ def test_trip_requires_3d():
         validate_lagrangian(e, 2)
     validate_lagrangian(e, 3)
     with pytest.raises(DslTypeError):
-        eval_lagrangian(e, build_difference_table(np.zeros((6, 2)), 3))
+        eval_lagrangian(e, np.zeros((6, 2)))
 
 
 def test_leaf_point_span():
@@ -200,22 +206,19 @@ def test_leaf_point_span():
 
 def test_eval_example1_oracle():
     # p1^2 = (0,-7), p2^2 = (1,5) -> dot = -35
-    t = build_difference_table(EX1_LEFT, 2)
-    assert eval_lagrangian(parse_lagrangian(L_EX1), t) == pytest.approx(-35.0)
+    assert eval_lagrangian(parse_lagrangian(L_EX1), EX1_LEFT) == pytest.approx(-35.0)
 
 
 def test_eval_zero_on_collinear_for_order2_leaves():
     pts = np.array([(i, 3.0 * i) for i in range(5)], dtype=float)
-    t = build_difference_table(pts, 2)
-    assert eval_lagrangian(parse_lagrangian(L_EX1), t) == pytest.approx(0.0, abs=1e-14)
+    assert eval_lagrangian(parse_lagrangian(L_EX1), pts) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_degenerate_triple_product_is_zero():
     rng = np.random.default_rng(4)
     pts = rng.normal(size=(6, 3))
-    t = build_difference_table(pts, 2)
     e = parse_lagrangian("trip(D2(1),D2(1),D2(3))")
-    assert eval_lagrangian(e, t) == pytest.approx(0.0, abs=1e-12)
+    assert eval_lagrangian(e, pts) == pytest.approx(0.0, abs=1e-12)
 
 
 def _bits(x) -> np.ndarray:
@@ -258,13 +261,11 @@ def test_translation_and_rotation_invariance():
     for text, dim in [(L_EX1, 2), (L_EX2, 2), (L_PLANNER, 2), (L_EX3, 3), (L_EX1, 3)]:
         e = parse_lagrangian(text)
         pts = rng.normal(size=(7, dim))
-        t = build_difference_table(pts, 3)
-        base = eval_lagrangian(e, t)
-        shifted = build_difference_table(pts + rng.normal(size=dim), 3)
+        base = eval_lagrangian(e, pts)
+        shifted = pts + rng.normal(size=dim)
         assert eval_lagrangian(e, shifted) == pytest.approx(base, abs=1e-12 * max(1, abs(base)))
         rot = random_rotation(rng, dim)
-        rotated = build_difference_table(pts @ rot.T, 3)
-        assert eval_lagrangian(e, rotated) == pytest.approx(base, abs=1e-10 * max(1, abs(base)))
+        assert eval_lagrangian(e, pts @ rot.T) == pytest.approx(base, abs=1e-10 * max(1, abs(base)))
 
 
 # ---------------------------------------------------------------- gradient
@@ -280,8 +281,8 @@ def _fd_gradient(e, pts, first_index, free, h=1e-6):
             up[pos, c] += h
             down = pts.copy()
             down[pos, c] -= h
-            lo = eval_lagrangian(e, build_difference_table(down, 3, first_index))
-            hi = eval_lagrangian(e, build_difference_table(up, 3, first_index))
+            lo = eval_lagrangian(e, down, first_index)
+            hi = eval_lagrangian(e, up, first_index)
             row.append((hi - lo) / (2 * h))
         rows.append(row)
     return np.array(rows)
@@ -290,9 +291,8 @@ def _fd_gradient(e, pts, first_index, free, h=1e-6):
 def test_simple_quadratic_gradient():
     # L = |p2 - p1|^2, gradient at p2 is 2(p2 - p1)
     pts = np.array([(1.0, 2.0), (4.0, -1.0)])
-    t = build_difference_table(pts, 1)
     e = parse_lagrangian("dot(D1(1),D1(1))")
-    g = grad_lagrangian(e, t, [2])
+    g = grad_lagrangian(e, pts, [2])
     np.testing.assert_allclose(g[0], 2 * (pts[1] - pts[0]), atol=1e-14)
 
 
@@ -304,19 +304,17 @@ def test_gradient_matches_finite_differences():
         for _ in range(25):
             pts = rng.normal(size=(8, dim))
             first = -2
-            t = build_difference_table(pts, 3, first)
             free = list(range(first, first + 8))
-            exact = grad_lagrangian(e, t, free)
+            exact = grad_lagrangian(e, pts, free, first)
             approx = _fd_gradient(e, pts, first, free)
             scale = max(1.0, np.abs(exact).max())
             assert np.abs(exact - approx).max() / scale < 1e-6
 
 
 def test_constant_lagrangian_has_zero_gradient():
-    t = build_difference_table(EX1_LEFT, 2)
-    g = grad_lagrangian(parse_lagrangian("3.0"), t, [2, 3])
+    g = grad_lagrangian(parse_lagrangian("3.0"), EX1_LEFT, [2, 3])
     np.testing.assert_allclose(g, 0.0, atol=1e-15)
-    g = grad_lagrangian(parse_lagrangian("3.0 + 2.0*dot(D2(1),D2(1))*0.0"), t, [2, 3])
+    g = grad_lagrangian(parse_lagrangian("3.0 + 2.0*dot(D2(1),D2(1))*0.0"), EX1_LEFT, [2, 3])
     np.testing.assert_allclose(g, 0.0, atol=1e-15)
 
 
@@ -326,28 +324,43 @@ def test_constant_lagrangian_has_zero_gradient():
 def test_gradient_routes_agree_on_grammar_texts(text, seed):
     e = parse_lagrangian(text)
     # leaves D1..D3 at indices -3..6 read base points -3..9
-    table = build_difference_table(np.random.default_rng(seed).normal(size=(13, 3)), 3, -3)
+    points = np.random.default_rng(seed).normal(size=(13, 3))
     free = list(range(-3, 10))
-    g = grad_lagrangian(e, table, free)
+    g = grad_lagrangian(e, points, free, -3)
     bound = 1e-9 * max(1.0, float(np.max(np.abs(g))))
-    np.testing.assert_allclose(el_operator_form(e, table, free), g, rtol=0, atol=bound)
-    np.testing.assert_allclose(level_adjoint_gradient(e, table, free), g, rtol=0, atol=bound)
+    np.testing.assert_allclose(el_gradient(e, points, -3), g, rtol=0, atol=bound)
+    np.testing.assert_allclose(level_adjoint_gradient(e, points, free, -3), g, rtol=0, atol=bound)
 
 
 def test_gradient_rejects_empty_free_set():
-    t = build_difference_table(EX1_LEFT, 2)
     with pytest.raises(InvalidArgument):
-        grad_lagrangian(parse_lagrangian(L_EX1), t, [])
+        grad_lagrangian(parse_lagrangian(L_EX1), EX1_LEFT, [])
 
 
 def test_table_routes_share_the_leaf_range_check():
     # EX1_LEFT has points 1..4; D2(2) reads 2..4 and D2(3) reads 3..5
-    t = build_difference_table(EX1_LEFT, 2)
     e = parse_lagrangian("dot(D2(1),D2(3))")
     message = r"reads points 1\.\.5, but the scene only provides 1\.\.4"
-    with pytest.raises(InvalidArgument, match=message):
-        eval_lagrangian(e, t)
-    with pytest.raises(InvalidArgument, match=message):
-        grad_lagrangian(e, t, [2])
-    with pytest.raises(InvalidArgument, match="free index 5 outside the table"):
-        grad_lagrangian(parse_lagrangian(L_EX1), t, [2, 5])
+    routes = (
+        lambda: eval_lagrangian(e, EX1_LEFT),
+        lambda: grad_lagrangian(e, EX1_LEFT, [2]),
+        lambda: el_gradient(e, EX1_LEFT),
+        lambda: level_adjoint_gradient(e, EX1_LEFT, [2]),
+    )
+    for route in routes:
+        with pytest.raises(InvalidArgument, match=message):
+            route()
+    with pytest.raises(InvalidArgument, match=r"free index 5 outside the points 1\.\.4"):
+        grad_lagrangian(parse_lagrangian(L_EX1), EX1_LEFT, [2, 5])
+
+
+def test_third_differences_agree_across_routes_on_five_points():
+    # D3(2) reads points 2..5, the last of five
+    e = parse_lagrangian("dot(D3(1),D3(2))")
+    points = np.random.default_rng(8).normal(size=(5, 2))
+    value = eval_lagrangian(e, points)
+    d3 = np.diff(points, 3, axis=0)
+    assert value == pytest.approx(float(d3[0] @ d3[1]), rel=1e-12)
+    g = grad_lagrangian(e, points, range(1, 6))
+    np.testing.assert_allclose(el_gradient(e, points), g, rtol=0, atol=1e-12 * np.abs(g).max())
+    np.testing.assert_allclose(_fd_gradient(e, points, 1, range(1, 6)), g, rtol=0, atol=1e-6 * np.abs(g).max())

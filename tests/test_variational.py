@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from gapspline import (
-    InvalidArgument,
-    build_difference_table,
     el_gradient,
-    el_operator_form,
-    euler_lagrange,
     grad_lagrangian,
     parse_lagrangian,
     shift_difference,
@@ -85,25 +81,24 @@ def test_operator_form_matches_adjoint_gradient(dim):
     for _ in range(60):
         n = int(rng.integers(5, 10))
         points = rng.normal(size=(n, dim))
-        table = build_difference_table(points, 3)
         free = list(range(2, n))
         for expr in exprs:
-            g = level_adjoint_gradient(expr, table, free)
-            op = el_operator_form(expr, table, free)
+            g = level_adjoint_gradient(expr, points, free)
+            op = el_gradient(expr, points)[1:-1]
             np.testing.assert_allclose(op, g, rtol=0, atol=1e-12)
             # the library's route, through the leaf maps
             scale = max(1.0, float(np.max(np.abs(g))))
-            np.testing.assert_allclose(grad_lagrangian(expr, table, free), g, rtol=0, atol=1e-12 * scale)
+            np.testing.assert_allclose(grad_lagrangian(expr, points, free), g, rtol=0, atol=1e-12 * scale)
 
 
 def test_operator_form_with_offset_first_index():
     expr = parse_lagrangian(L_EX1)
     rng = np.random.default_rng(11)
     points = rng.normal(size=(8, 2))
-    table = build_difference_table(points, 2, first_index=-2)
     free = [0, 1, 2]
-    g = grad_lagrangian(expr, table, free)
-    op = el_operator_form(expr, table, free)
+    g = grad_lagrangian(expr, points, free, first_index=-2)
+    # index i is row i - first_index
+    op = el_gradient(expr, points, first_index=-2)[[2, 3, 4]]
     np.testing.assert_allclose(op, g, atol=1e-12)
 
 
@@ -111,11 +106,10 @@ def test_euler_lagrange_single_row():
     expr = parse_lagrangian(L_EX1)
     rng = np.random.default_rng(12)
     points = rng.normal(size=(6, 2))
-    table = build_difference_table(points, 2)
-    full = el_gradient(expr, table)
-    for index in range(1, 7):
-        row = euler_lagrange(expr, table, index)
-        np.testing.assert_allclose(row, full[index - 1], atol=1e-14)
+    full = el_gradient(expr, points, first_index=-1)
+    for index in range(-1, 5):
+        row = level_adjoint_gradient(expr, points, [index], first_index=-1)[0]
+        np.testing.assert_allclose(full[index + 1], row, atol=1e-14)
 
 
 def test_el_gradient_quadratic_closed_form():
@@ -123,16 +117,8 @@ def test_el_gradient_quadratic_closed_form():
     # rows (p1 - p2, p2 - p1) and zero elsewhere.
     expr = parse_lagrangian("dot(D1(1),D1(1))")
     points = np.array([[0.0, 0.0], [3.0, -1.0], [4.0, 4.0]])
-    table = build_difference_table(points, 1)
-    g = el_gradient(expr, table)
+    g = el_gradient(expr, points)
     d = points[1] - points[0]
     np.testing.assert_allclose(g[0], -2.0 * d, atol=1e-14)
     np.testing.assert_allclose(g[1], 2.0 * d, atol=1e-14)
     np.testing.assert_allclose(g[2], 0.0, atol=1e-14)
-
-
-def test_operator_form_rejects_empty_free_set():
-    expr = parse_lagrangian(L_EX1)
-    table = build_difference_table(np.zeros((5, 2)), 2)
-    with pytest.raises(InvalidArgument):
-        el_operator_form(expr, table, [])
