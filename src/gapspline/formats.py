@@ -30,6 +30,11 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_numbers(value) -> bool:
+    """Whether a JSON value is an array of numbers: no strings, no true/false."""
+    return isinstance(value, list) and all(_is_number(v) for v in value)
+
+
 def emit_json(value, indent: int = 0) -> str:
     """Deterministic JSON text; see module docstring for the conventions."""
     pad = "  " * indent
@@ -86,13 +91,17 @@ def _parse_curve(obj, dim: int, context: str) -> BSplineCurve:
     points = _require(obj, "points", context)
     if type(degree) is not int:  # JSON true loads as bool, a subclass of int
         raise FormatError(f"{context}.degree must be an integer")
+    if not _is_numbers(knots):
+        raise FormatError(f"{context}.knots invalid: must be an array of numbers")
     try:
         kv = KnotVector(tuple(float(t) for t in knots), degree)
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, ValueError) as exc:  # an integer beyond float range
         raise FormatError(f"{context}.knots invalid: {exc}") from exc
+    if not (isinstance(points, list) and all(_is_numbers(p) for p in points)):
+        raise FormatError(f"{context}.points must be an n x {dim} array of numbers")
     try:
         pts = np.asarray(points, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, ValueError) as exc:  # ragged rows, or beyond float range
         raise FormatError(f"{context}.points must be an n x {dim} array of numbers") from exc
     if pts.ndim != 2 or pts.shape[1] != dim:
         raise FormatError(f"{context}.points must be an n x {dim} array")
@@ -108,10 +117,10 @@ def read_scene(text: str) -> SceneDocument:
     if not isinstance(doc, dict):
         raise FormatError("scene file must be a JSON object")
     version = _require(doc, "version", "scene file")
-    if isinstance(version, bool) or version != SCENE_VERSION:
+    if type(version) is not int or version != SCENE_VERSION:
         raise FormatError(f"unsupported scene file version {version!r}")
     dim = _require(doc, "dim", "scene file")
-    if dim not in (2, 3):
+    if type(dim) is not int or dim not in (2, 3):
         raise FormatError(f"dim must be 2 or 3, got {dim!r}")
     left = _parse_curve(_require(doc, "left", "scene file"), dim, "left")
     right = _parse_curve(_require(doc, "right", "scene file"), dim, "right")

@@ -5,7 +5,10 @@ so several real roots can coexist.  Newton runs from a small deterministic
 grid of starts, all in lockstep.  Each iteration tries the full Newton step
 first and backtracks along a halving ladder only where it fails to lower the
 residual, the standard damped Newton (Nocedal & Wright, *Numerical
-Optimization*, 2nd ed., 2006, sections 3.1 and 3.5).  Converged roots are
+Optimization*, 2nd ed., 2006, sections 3.1 and 3.5).  A start that fails to
+halve its residual over 10 iterations has stalled and stops, as MINPACK's
+``hybrd`` stops when iterations make too little progress (More, Garbow &
+Hillstrom, *User Guide for MINPACK-1*, ANL-80-74, 1980).  Converged roots are
 deduplicated, filtered by the orientation requirement alpha > 0 and
 beta > 0 (the connecting curve must leave and enter along the data's travel
 direction), and ranked by the smallest total squared second difference of
@@ -19,6 +22,7 @@ sign it carries is noise.  The rule reads only the normalized unknowns, so
 the verdict on such a root does not depend on the rigid motion of the input.
 """
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +38,11 @@ START_SCALES = (0.5, 1.0, 2.0)
 # step in one jet and the rest in a second, or, right after an iteration that
 # backtracked, the whole ladder in one jet.
 LADDER = 0.5 ** np.arange(31)
+
+# A running start whose residual max-norm is not below STALL_FACTOR times
+# its norm STALL_WINDOW iterations earlier has stalled, and stops as failed.
+STALL_WINDOW = 10
+STALL_FACTOR = 0.5
 
 
 def _is_integer(value) -> bool:
@@ -151,9 +160,10 @@ def newton_lockstep(system: ResidualSystem, starts: np.ndarray, config: SolverCo
     again, so the next iteration tries the whole ladder in one jet instead.
     Either way a start takes the same first lowering step, and keeps that
     point's residual and Jacobian for the next iteration.  A start stops
-    when its norm is within tol (converged), or when its step is not finite
-    or no step of the ladder lowers the norm (failed); its iteration count
-    is the iteration it stopped at.
+    when its norm is within tol (converged), or (failed) when its norm is
+    not below ``STALL_FACTOR`` times its norm ``STALL_WINDOW`` iterations
+    earlier, when its step is not finite, or when no step of the ladder
+    lowers the norm; its iteration count is the iteration it stopped at.
     """
     u = np.array(starts, dtype=float)
     _, r, jac = system.jet(u)
@@ -164,11 +174,18 @@ def newton_lockstep(system: ResidualSystem, starts: np.ndarray, config: SolverCo
     converged = np.zeros(len(u), dtype=bool)
     live = np.arange(len(u))
     backtracked = False
+    # norms at the top of the last STALL_WINDOW iterations, oldest first
+    history = deque(maxlen=STALL_WINDOW)
     for iteration in range(config.max_iters):
         done = norm[live] <= config.tol
         converged[live[done]] = True
         iterations[live[done]] = iteration
         live = live[~done]
+        if len(history) == STALL_WINDOW:
+            stalled = norm[live] >= STALL_FACTOR * history[0][live]
+            iterations[live[stalled]] = iteration
+            live = live[~stalled]
+        history.append(norm.copy())
         delta = _newton_steps(jac[live], r[live])
         finite = np.isfinite(delta).all(axis=-1)
         iterations[live[~finite]] = iteration
@@ -209,9 +226,10 @@ def newton(system: ResidualSystem, u0: np.ndarray, config: SolverConfig):
     Returns (u, iterations, converged, residual_max_norm), the last three as
     Python scalars.  Each step is the full Newton step when that lowers the
     residual max-norm, and otherwise the first of ``LADDER`` (1/2, 1/4, ...,
-    2**-30) that does; when none does, the start has failed.  Since a row's
-    jet does not depend on its batch, a start's path here is the one it takes
-    among others in ``newton_lockstep``, bit for bit.
+    2**-30) that does; when none does, or when the norm has not halved over
+    the last ``STALL_WINDOW`` iterations, the start has failed.  Since a
+    row's jet does not depend on its batch, a start's path here is the one
+    it takes among others in ``newton_lockstep``, bit for bit.
     """
     u, iterations, converged, norm = newton_lockstep(
         system, np.asarray(u0, dtype=float)[None], config

@@ -226,6 +226,25 @@ def test_malformed_files_exit_2_with_one_line(tmp_path, capsys, argv, message):
     assert captured.out == ""
 
 
+def test_numeric_strings_and_a_float_dim_exit_2_with_one_line(tmp_path, capsys):
+    # written this way, example1 would otherwise solve to example1's bytes
+    scene = json.loads(Path(EX1).read_text())
+    for side in ("left", "right"):
+        curve = scene[side]
+        curve["knots"] = [str(t) for t in curve["knots"]]
+        curve["points"] = [[str(c) for c in p] for p in curve["points"]]
+    for doc, message in [
+        ({**scene, "dim": 2.0}, "dim must be 2 or 3, got 2.0"),
+        (scene, "left.knots invalid: must be an array of numbers"),
+    ]:
+        (tmp_path / "scene.json").write_text(json.dumps(doc))
+        code, out = _solve_to(tmp_path, str(tmp_path / "scene.json"))
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+
+
 _ORIENTATION = "boundary tangents would point away from the gap"
 
 

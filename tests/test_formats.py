@@ -143,6 +143,20 @@ def test_read_scene_error_paths(scene_2d):
         (lambda d: d["left"].update(degree=True), "left.degree must be an integer"),
         (lambda d: d["solution"].update(degree=True), "must be integers"),
         (lambda d: d["solution"].update(pieces=True), "must be integers"),
+        # numeric strings, true/false and integral floats are refused
+        (lambda d: d["left"]["knots"].__setitem__(0, "0"), "left.knots invalid: must be an array of numbers"),
+        (lambda d: d["left"]["knots"].__setitem__(0, False), "left.knots invalid: must be an array of numbers"),
+        (lambda d: d["right"].update(knots="0000111"), "right.knots invalid: must be an array of numbers"),
+        (lambda d: d["right"]["points"][0].__setitem__(1, "4"), "right.points must be an n x 2 array of numbers"),
+        (lambda d: d["right"]["points"][0].__setitem__(1, True), "right.points must be an n x 2 array of numbers"),
+        (lambda d: d["left"].update(points="0123"), "left.points must be an n x 2 array of numbers"),
+        # an integer literal beyond float range
+        (lambda d: d["left"]["knots"].__setitem__(0, -(10**400)), "left.knots invalid"),
+        (lambda d: d["left"]["points"][0].__setitem__(0, 10**400), "left.points must be an n x 2 array of numbers"),
+        (lambda d: d.update(version=1.0), r"version 1\.0"),
+        (lambda d: d.update(dim=2.0), r"dim must be 2 or 3, got 2\.0"),
+        (lambda d: d.update(dim="2"), "dim must be 2 or 3, got '2'"),
+        (lambda d: d.update(dim=True), "dim must be 2 or 3, got True"),
     ]:
         with pytest.raises(FormatError, match=message):
             read_scene(corrupt(fn))

@@ -21,7 +21,7 @@ from gapspline import (
     solve,
     start_grid,
 )
-from gapspline.solver import LADDER, newton_lockstep
+from gapspline.solver import LADDER, STALL_FACTOR, STALL_WINDOW, newton_lockstep
 
 from conftest import SCENES_DIR, L_EX1, L_EX2, L_PLANNER, moved_scene, random_rotation
 
@@ -44,15 +44,20 @@ def _shipped_system(name):
 def _one_start_newton(system, u0, config):
     """Damped Newton from one start, trial by trial: the lockstep's reference.
 
-    Its ladder is spelled out here, halving from 1 down to 2**-30, so that
-    it checks ``LADDER`` rather than reading it.
+    Its ladder is spelled out here, halving from 1 down to 2**-30, and so is
+    its stall rule, a norm not below half the norm 10 iterations earlier, so
+    that it checks ``LADDER`` and the stall constants rather than reading them.
     """
     u = np.asarray(u0, dtype=float).copy()
     r = system.residual(u)
     norm = float(np.max(np.abs(r)))
+    seen = []
     for iteration in range(config.max_iters):
         if norm <= config.tol:
             return u, iteration, True, norm
+        if iteration >= 10 and norm >= 0.5 * seen[iteration - 10]:
+            return u, iteration, False, norm
+        seen.append(norm)
         try:
             delta = np.linalg.solve(system.jacobian(u), -r)
         except np.linalg.LinAlgError:
@@ -264,14 +269,22 @@ def test_lockstep_agrees_with_newton_start_by_start(name):
 
 
 def test_lockstep_keeps_the_product_scenes_converged_starts():
-    # Most of mul_1_1's 18 starts stall, and a stalled path depends on
-    # rounding, so only the converged starts and the carried root are pinned:
-    # starts 10, 11 and 13, as the one-start loop found them.
+    # Most of mul_1_1's 18 starts creep towards the non-isolated set
+    # f = g = 0; the stall rule stops every one of them well inside the
+    # budget.  The converged starts and the carried root are those the
+    # one-start loop finds: starts 10, 11 and 13.
     system = _shipped_system("mul_1_1")
+    counting = _CountingJets(system)
     config = SolverConfig()
     starts = start_grid(system.layout, config)
-    _, _, converged, _ = newton_lockstep(system, np.array(starts), config)
+    _, iterations, converged, _ = newton_lockstep(counting, np.array(starts), config)
     assert np.flatnonzero(converged).tolist() == [10, 11, 13]
+    # the work, pinned as counts: without the stall rule two starts ran all
+    # 100 iterations, for 103 jets over 16,418 rows and 547 iterations
+    assert iterations.max() < config.max_iters
+    assert int(iterations.sum()) == 303
+    assert len(counting.shapes) == 34
+    assert sum(int(np.prod(shape[:-1])) for shape in counting.shapes) == 8575
     with pytest.raises(OrientationFailure) as info:
         solve(system, config)
     root = _one_start_newton(system, starts[10], config)[0]
@@ -321,7 +334,10 @@ def test_lockstep_walks_one_jet_per_iteration():
     starts = np.array([[1.0, 1.0], [1e-2, 1.0], [0.0, 1.0], [1e-4, 1.0]])
     _, iterations, converged, _ = newton_lockstep(system, starts, SolverConfig())
     assert converged.tolist() == [True, True, False, True]
-    assert iterations[0] > iterations[1] > iterations[3] > 0 == iterations[2]
+    # u0**2 falls by 4 per iteration, far faster than the stall rule's half
+    # per 10; the start at 1e-2 converges at the top of iteration 10, the
+    # first iteration at which the rule looks, and the convergence test wins
+    assert iterations.tolist() == [17, 10, 0, 4]
     # one jet at the starts, then one per iteration that still has running
     # starts, each at those starts' full steps, since every full step lowers
     # the residual
@@ -334,6 +350,43 @@ def test_lockstep_walks_one_jet_per_iteration():
     _, iterations, converged, _ = newton_lockstep(system, starts[:1], SolverConfig(max_iters=3))
     assert not converged[0] and iterations[0] == 3
     assert system.shapes == [(1, 2)] + [(1, 1, 2)] * 3
+
+
+class _SteepLinear:
+    """r(u) = u, with a Jacobian reported ``steepness`` times too steep.
+
+    Every full step then keeps 1 - 1/steepness of the residual, and is taken
+    since it lowers the norm.
+    """
+
+    def __init__(self, steepness):
+        self.steepness = steepness
+
+    def jet(self, u):
+        jac = np.zeros(u.shape + u.shape[-1:])
+        diagonal = np.arange(u.shape[-1])
+        jac[..., diagonal, diagonal] = self.steepness
+        return None, np.array(u), jac
+
+
+def test_a_start_that_stops_halving_its_residual_stalls():
+    assert (STALL_WINDOW, STALL_FACTOR) == (10, 0.5)
+    starts = np.array([[1.0, -0.5]])
+    # each step keeps 0.95 of the residual, and 0.95**10 = 0.60 is not below
+    # half: the start stops unconverged at iteration 10, after 10 steps
+    system = _CountingJets(_SteepLinear(20.0))
+    found, iterations, converged, norms = newton_lockstep(system, starts, SolverConfig())
+    assert not converged[0] and iterations[0] == 10
+    assert system.shapes == [(1, 2)] + [(1, 1, 2)] * 10
+    np.testing.assert_allclose(norms[0], 0.95**10, rtol=1e-12)
+    u, its, ok, norm = newton(_SteepLinear(20.0), starts[0], SolverConfig())
+    assert (its, ok, _bits(norm)) == (10, False, _bits(norms[0]))
+    np.testing.assert_array_equal(_bits(u), _bits(found[0]))
+    # each step keeps 0.8, and 0.8**10 = 0.11 is below half: the start runs
+    # on to converge, past the default budget of 100 iterations
+    config = SolverConfig(max_iters=200)
+    _, iterations, converged, norms = newton_lockstep(_SteepLinear(5.0), starts, config)
+    assert converged[0] and 100 < iterations[0] < 110 and norms[0] <= config.tol
 
 
 class _Arctan:
