@@ -108,6 +108,13 @@ def _parse_curve(obj, dim: int, context: str) -> BSplineCurve:
     return BSplineCurve(kv, pts)
 
 
+def _parse_dim(doc: dict, context: str) -> int:
+    dim = _require(doc, "dim", context)
+    if type(dim) is not int or dim not in (2, 3):
+        raise FormatError(f"dim must be 2 or 3, got {dim!r}")
+    return dim
+
+
 def read_scene(text: str) -> SceneDocument:
     """Parse scene-file text; malformed documents raise FormatError."""
     try:
@@ -119,9 +126,7 @@ def read_scene(text: str) -> SceneDocument:
     version = _require(doc, "version", "scene file")
     if type(version) is not int or version != SCENE_VERSION:
         raise FormatError(f"unsupported scene file version {version!r}")
-    dim = _require(doc, "dim", "scene file")
-    if type(dim) is not int or dim not in (2, 3):
-        raise FormatError(f"dim must be 2 or 3, got {dim!r}")
+    dim = _parse_dim(doc, "scene file")
     left = _parse_curve(_require(doc, "left", "scene file"), dim, "left")
     right = _parse_curve(_require(doc, "right", "scene file"), dim, "right")
 
@@ -226,7 +231,7 @@ def solution_curve_from_document(doc: dict) -> BSplineCurve:
     if not isinstance(info, dict):
         raise FormatError("solution must be an object with degree and knots")
     curve = {**info, "points": _require(doc, "original_points", "solution file")}
-    return _parse_curve(curve, _require(doc, "dim", "solution file"), "solution")
+    return _parse_curve(curve, _parse_dim(doc, "solution file"), "solution")
 
 
 def write_csv(samples: np.ndarray, ts: np.ndarray) -> str:

@@ -18,6 +18,8 @@ the fixed left data, larger ones into the right.
 
 import re
 from dataclasses import dataclass
+from functools import reduce
+from itertools import combinations
 
 import numpy as np
 
@@ -49,6 +51,10 @@ class Dot:
     left: Diff
     right: Diff
 
+    @property
+    def legs(self) -> tuple:
+        return self.left, self.right
+
 
 @dataclass(frozen=True)
 class Trip:
@@ -57,6 +63,10 @@ class Trip:
     left: Diff
     middle: Diff
     right: Diff
+
+    @property
+    def legs(self) -> tuple:
+        return self.left, self.middle, self.right
 
 
 @dataclass(frozen=True)
@@ -213,26 +223,16 @@ def _fmt(node: Expr, top: bool = False) -> str:
     raise InvalidArgument(f"unknown expression node {node!r}")
 
 
+def _nodes(node: Expr):
+    """The node and every node below it, depth first in syntactic order."""
+    yield node
+    for child in getattr(node, "terms", getattr(node, "factors", ())):
+        yield from _nodes(child)
+
+
 def lagrangian_leaves(expr: Expr) -> list[Diff]:
     """All difference leaves, in syntactic order (duplicates kept)."""
-    out: list[Diff] = []
-    _collect(expr, out)
-    return out
-
-
-def _collect(node: Expr, out: list[Diff]):
-    if isinstance(node, Diff):
-        out.append(node)
-    elif isinstance(node, Dot):
-        out += [node.left, node.right]
-    elif isinstance(node, Trip):
-        out += [node.left, node.middle, node.right]
-    elif isinstance(node, Sum):
-        for t in node.terms:
-            _collect(t, out)
-    elif isinstance(node, Product):
-        for f in node.factors:
-            _collect(f, out)
+    return [leaf for node in _nodes(expr) for leaf in getattr(node, "legs", ())]
 
 
 def leaf_point_span(expr: Expr) -> tuple[int, int]:
@@ -252,132 +252,180 @@ def validate_lagrangian(expr: Expr, dim: int):
     """Dimension/type checks: trip() needs 3D, and some leaf must exist."""
     if dim not in (2, 3):
         raise InvalidArgument(f"dim must be 2 or 3, got {dim}")
-    if dim == 2 and _contains_trip(expr):
+    if dim == 2 and any(isinstance(node, Trip) for node in _nodes(expr)):
         raise DslTypeError("trip() is a triple product and needs a 3D scene")
     leaf_point_span(expr)  # raises on leaf-free expressions
 
 
-def _contains_trip(node: Expr) -> bool:
-    if isinstance(node, Trip):
-        return True
-    if isinstance(node, Sum):
-        return any(_contains_trip(t) for t in node.terms)
-    if isinstance(node, Product):
-        return any(_contains_trip(f) for f in node.factors)
-    return False
-
-
 # ---------------------------------------------------------------------------
-# evaluation and exact derivatives
+# polynomial expansion and exact derivatives
 # ---------------------------------------------------------------------------
 
+# Every leaf is affine in the unknowns u, so the Lagrangian is a polynomial in
+# u.  One of degree up to MAX_DEGREE is expanded into coefficients once; a
+# product above it is the product rule over its factors' expansions.
+MAX_DEGREE = 4
 
-def compile_jet(expr: Expr, slot: dict, A: np.ndarray):
-    """The Lagrangian's value, gradient and Hessian as one compiled function.
+# for each degree k, the transposes that move one ordered pair of axes s < t
+# of a k-axis coefficient to the end, the other axes first in order
+_FREE_PAIRS = {
+    k: [tuple(a for a in range(k) if a not in pair) + pair for pair in combinations(range(k), 2)]
+    for k in range(2, MAX_DEGREE + 1)
+}
 
-    ``slot`` maps each leaf's (order, index) to its row of ``A`` (rows, dim,
-    m), the constant derivatives of leaves affine in some m parameters; the
-    leaves are resolved here, once.  The returned function takes the stacked
-    leaf values (..., rows, dim) for any leading batch shape and returns
-    value (...), gradient (..., m) and Hessian (..., m, m), each row computed
-    as if alone.  Dot and trip are exact quadratic or cubic forms in the
-    leaves, and products follow the pairwise product rule; every Hessian row
-    is symmetric bit for bit.  A part that does not depend on the leaf values
-    comes back unbroadcast: a dot's Hessian is the constant (m, m) matrix
-    computed here, and a Number's derivatives are zeros of shape (1,) and
-    (1, 1), which broadcast against any batch and any m.
-    """
-    if isinstance(expr, Number):
-        jet = np.float64(expr.value), np.zeros(1), np.zeros((1, 1))
-        return lambda values: jet
-    if isinstance(expr, Dot):
-        (i, Ai), (j, Aj) = (_leaf(d, slot, A) for d in (expr.left, expr.right))
-        S = Ai.T @ Aj
-        H = S + S.T
+# the Levi-Civita symbol, (e_i x e_j)_k: trip(a, b, c) = sum_ijk eps_ijk a_i b_j c_k
+_EPS = np.cross(np.eye(3)[:, None], np.eye(3))
 
-        def dot(values):
-            a, b = values[..., i, :], values[..., j, :]
-            return _dot(a, b), _pull(Ai, b) + _pull(Aj, a), H
 
-        return dot
-    if isinstance(expr, Trip):
-        if A.shape[1] != 3:
-            raise DslTypeError("trip() needs 3D leaves")
-        legs = (expr.left, expr.middle, expr.right)
-        (i, Ai), (j, Aj), (k, Ak) = (_leaf(d, slot, A) for d in legs)
-
-        def trip(values):
-            a, b, c = values[..., i, :], values[..., j, :], values[..., k, :]
-            ab = _cross(a, b)
-            # d2/da db of (a x b).c is skew(c).T = skew(-c), where skew(v) w = v x w
-            S = Ai.T @ _skew(-c) @ Aj + Aj.T @ _skew(-a) @ Ak + Ak.T @ _skew(-b) @ Ai
-            grad = _pull(Ai, _cross(b, c)) + _pull(Aj, _cross(c, a)) + _pull(Ak, ab)
-            return _dot(ab, c), grad, S + np.swapaxes(S, -1, -2)
-
-        return trip
+def degree(expr: Expr) -> int:
+    """The Lagrangian's degree as a polynomial in its leaves."""
     if isinstance(expr, Sum):
-        terms = [compile_jet(t, slot, A) for t in expr.terms]
+        return max(degree(t) for t in expr.terms)
+    if isinstance(expr, Product):
+        return sum(degree(f) for f in expr.factors)
+    return 3 if isinstance(expr, Trip) else 2 if isinstance(expr, Dot) else 0
 
-        def total(values):
-            jets = [term(values) for term in terms]
-            # value, gradient and Hessian each summed over the terms, in order
-            return tuple(sum(parts[1:], parts[0]) for parts in zip(*jets))
+
+def expand(expr: Expr, slot: dict, b: np.ndarray, A: np.ndarray, cap: int) -> list:
+    """Coefficients ``[C0, C1, ..., Ck]`` of the Lagrangian in u, k <= cap.
+
+    ``slot`` maps each leaf's (order, index) to its row of the leaf maps
+    ``I = b + A @ u``, b (rows, dim) and A (rows, dim, m).  The Lagrangian is
+    the sum of the C_j, shape (m,) * j and not symmetrized, contracted with u
+    in every axis.  Terms above degree ``cap`` are dropped on the way, so
+    ``cap=1`` gives the value and gradient at u = 0 and no more.
+    """
+
+    def leg(d: Diff) -> list:
+        k = slot[d.order, d.index]
+        return [b[k], A[k].T]
+
+    def walk(node: Expr) -> list:
+        if isinstance(node, Number):
+            return [np.float64(node.value)]
+        if isinstance(node, Dot):
+            return _convolve(*map(leg, node.legs), np.inner, cap)
+        if isinstance(node, Trip):
+            if b.shape[-1] != 3:
+                raise DslTypeError("trip() needs 3D leaves")
+            # (b x c)_i = eps_ijk b_j c_k, then a . (b x c)
+            cross = [np.inner(c, _EPS) for c in leg(node.right)]
+            cross = _convolve(leg(node.middle), cross, np.inner, cap)
+            return _convolve(leg(node.left), cross, np.inner, cap)
+        if isinstance(node, Sum):
+            return reduce(_add, map(walk, node.terms))
+        if isinstance(node, Product):
+            return reduce(
+                lambda p, q: _convolve(p, q, np.multiply.outer, cap), map(walk, node.factors)
+            )
+        raise InvalidArgument(f"cannot evaluate node {node!r}")
+
+    return walk(expr)
+
+
+def _convolve(p: list, q: list, pair, cap: int) -> list:
+    """The product of two expansions up to degree cap; ``pair`` multiplies
+    two coefficients, outer in their u axes (np.inner contracts leaf axes)."""
+    out = [None] * min(len(p) + len(q) - 1, cap + 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q[: len(out) - i]):
+            z = pair(x, y)
+            out[i + j] = z if out[i + j] is None else out[i + j] + z
+    return out
+
+
+def _add(p: list, q: list) -> list:
+    """Coefficients of the sum of two expansions."""
+    return [x + y for x, y in zip(p, q)] + p[len(q) :] + q[len(p) :]
+
+
+def compile_jet(expr: Expr, slot: dict, b: np.ndarray, A: np.ndarray):
+    """The Lagrangian's value, gradient and Hessian in u as one function.
+
+    The leaf maps are as in :func:`expand`.  The function takes u (..., m)
+    and returns value (...), gradient (..., m) and Hessian (..., m, m), each
+    row computed as if alone, every Hessian symmetric bit for bit; below
+    degree 3 the Hessian is constant, a read-only view of one matrix.  Up
+    to ``MAX_DEGREE`` the Lagrangian is expanded here, once; above it, a sum
+    adds its terms' jets and a product applies the product rule to its
+    factors' jets.
+    """
+    if degree(expr) <= MAX_DEGREE:
+        return _polynomial_jet(expand(expr, slot, b, A, MAX_DEGREE), A.shape[-1])
+    if isinstance(expr, Sum):
+        parts = [compile_jet(t, slot, b, A) for t in expr.terms]
+
+        def total(u):
+            jets = [part(u) for part in parts]
+            # value, gradient and Hessian each summed over the parts, in order
+            return tuple(sum(x[1:], x[0]) for x in zip(*jets))
 
         return total
-    if isinstance(expr, Product):
-        head, *rest = [compile_jet(f, slot, A) for f in expr.factors]
+    head, *rest = [compile_jet(f, slot, b, A) for f in expr.factors]
 
-        def product(values):
-            v, g, H = head(values)
-            for factor in rest:
-                w, h, K = factor(values)
-                O = g[..., :, None] * h[..., None, :]
-                v, g, H = (
-                    v * w,
-                    v[..., None] * h + w[..., None] * g,
-                    v[..., None, None] * K + w[..., None, None] * H + (O + np.swapaxes(O, -1, -2)),
-                )
-            return v, g, H
+    def product(u):
+        v, g, H = head(u)
+        for factor in rest:
+            w, h, K = factor(u)
+            O = g[..., :, None] * h[..., None, :]
+            v, g, H = (
+                v * w,
+                v[..., None] * h + w[..., None] * g,
+                v[..., None, None] * K + w[..., None, None] * H + (O + np.swapaxes(O, -1, -2)),
+            )
+        return v, g, H
 
-        return product
-    raise InvalidArgument(f"cannot evaluate node {expr!r}")
+    return product
 
 
-def _leaf(d: Diff, slot: dict, A: np.ndarray) -> tuple:
-    k = slot[d.order, d.index]
-    return k, A[k]
+def _polynomial_jet(C: list, m: int):
+    """The jet of ``sum_k C_k[u, ..., u]``, k <= 4, from one stacked matmul.
 
+    The degree-k part has Hessian H_k = K_k + K_k^T, K_k the sum of C_k over
+    its ordered pairs of free axes with u in the others, and by Euler's
+    relation gradient H_k u / (k - 1) and value u . H_k u / (k (k - 1)).  So
+    K, G = sum H_k / (k - 1) and V = sum H_k / (k (k - 1)) are linear in the
+    features [1, u, u (x) u], one row of W (features, 3 m^2) each, and
+    H = K + K^T, gradient C1 + G u, value C0 + u . (C1 + V u).  Every
+    product is a matmul on stacked rows, so a row's result does not depend
+    on its batch.  Below degree 3, K, G and V are constant.
+    """
+    C = C + [np.zeros((m,) * k) for k in range(len(C), 3)]
+    c0, c1, mm = C[0], C[1], m * m
+    if len(C) == 3:
+        H = C[2] + C[2].T
+        GV = np.concatenate([H, H / 2])
+    else:
+        Ks = [
+            reduce(np.add, [Ck.transpose(axes) for axes in _FREE_PAIRS[k]]).reshape(-1, m, m)
+            for k, Ck in enumerate(C[2:], start=2)
+        ]
+        K = np.concatenate(Ks)
+        H = K + K.transpose(0, 2, 1)
+        W = np.stack([K, H, H], axis=1)
+        # the rows of degree k: G takes H_k / (k - 1), V takes H_k / (k (k - 1))
+        divisors = [(k - 1, k * (k - 1)) for k in range(2, len(C))]
+        W[:, 1:] /= np.repeat(divisors, [len(Kk) for Kk in Ks], axis=0)[:, :, None, None]
+        W = W.reshape(len(W), 3 * mm)
 
-# Row-wise products.  matmul treats every row of a batch as its own vector
-# or matrix and makes the BLAS call an unbatched row would, so a row's
-# result does not depend on the batch it is evaluated in.
+    def jet(u):
+        if len(C) == 3:
+            hess = np.broadcast_to(H, u.shape[:-1] + (m, m))
+            gv = (GV @ u[..., :, None])[..., 0]
+        else:
+            batch = u.shape[:-1]
+            features = [np.ones(batch + (1,)), u]
+            if len(C) == 5:
+                features.append((u[..., :, None] * u[..., None, :]).reshape(batch + (mm,)))
+            Z = (np.concatenate(features, axis=-1)[..., None, :] @ W)[..., 0, :]
+            K = Z[..., :mm].reshape(batch + (m, m))
+            hess = K + np.swapaxes(K, -1, -2)
+            gv = (Z[..., mm:].reshape(batch + (2 * m, m)) @ u[..., :, None])[..., 0]
+        w = c1 + gv[..., m:]
+        value = c0 + (u[..., None, :] @ w[..., :, None])[..., 0, 0]
+        return value, c1 + gv[..., :m], hess
 
-
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a . b over the last axis, row by row."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
-def _pull(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A.T @ x row by row: a leaf covector pulled back to the parameters."""
-    return (A.T @ x[..., :, None])[..., 0]
-
-
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a x b over the last axis: the multiplies and subtracts of np.cross."""
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
-
-
-def _skew(v: np.ndarray) -> np.ndarray:
-    """Cross-product matrices, skew(v) @ w == v x w, shape (..., 3, 3)."""
-    x, y, z = v[..., 0], v[..., 1], v[..., 2]
-    out = np.zeros(v.shape + (3,))
-    out[..., 0, 1], out[..., 0, 2] = -z, y
-    out[..., 1, 0], out[..., 1, 2] = z, -x
-    out[..., 2, 0], out[..., 2, 1] = -y, x
-    return out
+    return jet
 
 
 def leaf_maps(expr: Expr, offset: np.ndarray, basis: np.ndarray, first_index: int) -> tuple:
@@ -396,9 +444,10 @@ def leaf_maps(expr: Expr, offset: np.ndarray, basis: np.ndarray, first_index: in
             f"Lagrangian reads points {lo}..{hi}, but the scene only provides "
             f"{first_index}..{last}"
         )
-    b = np.array([np.diff(offset, l, axis=0)[i - first_index] for l, i in keys])
+    shape = (len(keys), offset.shape[-1])  # kept when there are no leaves
+    b = np.array([np.diff(offset, l, axis=0)[i - first_index] for l, i in keys]).reshape(shape)
     A = np.array([np.diff(basis, l, axis=1)[:, i - first_index].T for l, i in keys])
-    return {key: k for k, key in enumerate(keys)}, b, A
+    return {key: k for k, key in enumerate(keys)}, b, A.reshape(shape + (len(basis),))
 
 
 def as_points(points) -> np.ndarray:
@@ -410,7 +459,7 @@ def as_points(points) -> np.ndarray:
 
 
 def _points_jet(expr: Expr, points, free: list, first_index: int) -> tuple:
-    """The jet at the points, over one parameter per coordinate of each free point."""
+    """Value and gradient at the points over their free coordinates."""
     points = as_points(points)
     n, dim = points.shape
     basis = np.zeros((len(free), dim, n, dim))
@@ -421,7 +470,14 @@ def _points_jet(expr: Expr, points, free: list, first_index: int) -> tuple:
             )
         basis[row, :, index - first_index] = np.eye(dim)
     slot, b, A = leaf_maps(expr, points, basis.reshape(-1, n, dim), first_index)
-    return compile_jet(expr, slot, A)(b)
+    return first_order(expr, slot, b, A)
+
+
+def first_order(expr: Expr, slot: dict, b: np.ndarray, A: np.ndarray) -> tuple:
+    """The Lagrangian's value and gradient at u = 0: the first two
+    coefficients of its expansion (a zero gradient where it has none)."""
+    C = expand(expr, slot, b, A, 1) + [np.zeros(A.shape[-1])]
+    return C[0], C[1]
 
 
 def eval_lagrangian(expr: Expr, points, first_index: int = 1) -> float:
@@ -437,14 +493,12 @@ def grad_lagrangian(
 ) -> np.ndarray:
     """Exact gradient of the Lagrangian w.r.t. the named points.
 
-    The jet's gradient over one parameter per coordinate of each free point,
-    so the same leaf maps as :class:`gapspline.system.ResidualSystem` bind the
+    The expansion's gradient coefficient over one parameter per coordinate
+    of each free point, so the same leaf maps and expansion as
+    :class:`gapspline.system.ResidualSystem` bind and differentiate the
     leaves.  Returns shape (len(free), dim), rows in the order given.
     """
     free = list(free)
     if not free:
         raise InvalidArgument("free index set must not be empty")
-    grad = _points_jet(expr, points, free, first_index)[1]
-    # a leaf-free Lagrangian's gradient is a broadcastable zero of shape (1,)
-    dim = np.shape(points)[1]
-    return np.broadcast_to(grad, (len(free) * dim,)).reshape(len(free), dim).copy()
+    return _points_jet(expr, points, free, first_index)[1].reshape(len(free), -1)

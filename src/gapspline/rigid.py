@@ -30,7 +30,9 @@ class RigidTransform:
             raise InvalidArgument(
                 f"rotation/translation shapes {R.shape}/{t.shape} are not a rigid motion"
             )
-        if not np.allclose(R.T @ R, np.eye(R.shape[0]), atol=_ORTHO_TOL):
+        # np.allclose's test, written out: |R^T R - I| <= atol + rtol |I|, NaN refused
+        eye = np.eye(R.shape[0])
+        if not (np.abs(R.T @ R - eye) <= _ORTHO_TOL + 1e-5 * eye).all():
             raise InvalidArgument("rotation must be orthonormal")
         if np.linalg.det(R) < 0.0:
             raise InvalidArgument("rotation must be proper (det +1, no reflection)")

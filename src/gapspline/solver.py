@@ -237,9 +237,22 @@ def newton(system: ResidualSystem, u0: np.ndarray, config: SolverConfig):
     return u[0], int(iterations[0]), bool(converged[0]), float(norm[0])
 
 
-def _root_tol(u: np.ndarray) -> float:
-    """Distance below which two roots coincide and alpha or beta is collapsed."""
-    return 1e-8 * (1.0 + float(np.max(np.abs(u))))
+def _root_tol(u: np.ndarray) -> np.ndarray:
+    """Distance below which two roots coincide and alpha or beta is collapsed,
+    for each row of u."""
+    return 1e-8 * (1.0 + np.max(np.abs(u), axis=-1))
+
+
+def _distinct(roots: np.ndarray, tol: np.ndarray) -> list:
+    """Indices of the rows of roots that are not within ``tol[j]`` (max-norm)
+    of an earlier kept row j, in order: the earliest of coinciding roots."""
+    # close[i][j]: root i lies within root j's tolerance
+    close = (np.max(np.abs(roots[:, None] - roots), axis=-1) <= tol).tolist()
+    kept = []
+    for i, row in enumerate(close):
+        if not any(row[j] for j in kept):
+            kept.append(i)
+    return kept
 
 
 def solve(system: ResidualSystem, config: SolverConfig = SolverConfig()) -> Solution:
@@ -254,32 +267,25 @@ def solve(system: ResidualSystem, config: SolverConfig = SolverConfig()) -> Solu
     """
     starts = start_grid(system.layout, config)
     found, iterations, converged, norms = newton_lockstep(system, starts, config)
-    roots = []
-    best_norm = np.inf
-    best_point = starts[0]
-    for idx, u in enumerate(found):
-        if converged[idx]:
-            roots.append((idx, u, int(iterations[idx])))
-        elif norms[idx] < best_norm:
-            best_norm = float(norms[idx])
-            best_point = u
-    if not roots:
+    roots = np.flatnonzero(converged)
+    if not roots.size:
+        best_norm, best_point = np.inf, starts[0]
+        for u, norm in zip(found, norms):
+            if norm < best_norm:
+                best_norm, best_point = float(norm), u
         raise ConvergenceFailure(best_norm, best_point)
 
-    unique = []
-    for idx, u, iterations in roots:
-        if any(np.max(np.abs(u - v)) <= _root_tol(v) for _, v, _ in unique):
-            continue
-        unique.append((idx, u, iterations))
-
-    valid = [(idx, u, it) for idx, u, it in unique if min(u[0], u[1]) > _root_tol(u)]
+    found = found[roots]
+    tol = _root_tol(found)
+    unique = _distinct(found, tol)
+    valid = [i for i in unique if min(found[i, 0], found[i, 1]) > tol[i]]
     if not valid:
-        idx, u, _ = unique[0]
+        u = found[unique[0]]
         norm = float(np.max(np.abs(system.residual(u))))
         raise OrientationFailure(u, float(u[0]), float(u[1]), norm)
 
-    ranked = sorted(valid, key=lambda item: (system.bending_energy(item[1]), item[0]))
-    idx, u, iterations = ranked[0]
+    best = min(valid, key=lambda i: (system.bending_energy(found[i]), i))
+    u = found[best]
     # fresh certificate evaluation
     norm = float(np.max(np.abs(system.residual(u))))
     if norm > config.tol:
@@ -288,6 +294,6 @@ def solve(system: ResidualSystem, config: SolverConfig = SolverConfig()) -> Solu
         unknowns=u,
         control_points=system.layout.solution_points(u),
         residual_norm=norm,
-        iterations=iterations,
-        start_used=idx,
+        iterations=int(iterations[roots[best]]),
+        start_used=int(roots[best]),
     )

@@ -182,8 +182,15 @@ class UnknownLayout:
         return u
 
     def solution_points(self, u: np.ndarray) -> np.ndarray:
-        """All connecting-curve control points for unknowns u, (n, dim)."""
-        return self.offset + np.tensordot(self.check_unknowns(u), self.basis, axes=1)
+        """All connecting-curve control points for unknowns u, (n, dim).
+
+        A tied coordinate is set to the scaled sum of its sources' values, so
+        the tie holds exactly, not just up to the rounding of the affine map.
+        """
+        pts = self.offset + np.tensordot(self.check_unknowns(u), self.basis, axes=1)
+        for tie in self.ties:
+            pts[tie.point - 1, tie.coord] = tie.scale * sum(pts[p - 1, c] for p, c in tie.sources)
+        return pts
 
     def sequence_map(self) -> tuple[np.ndarray, np.ndarray]:
         """(offset, basis) of the whole sequence, left data to right data.
@@ -199,8 +206,8 @@ class UnknownLayout:
 
     def full_sequence(self, u: np.ndarray) -> np.ndarray:
         """Left data, connecting interior, right data, concatenated."""
-        offset, basis = self.sequence_map()
-        return offset + np.tensordot(self.check_unknowns(u), basis, axes=1)
+        interior = self.solution_points(u)[1:-1]
+        return np.vstack([self.normalized.left.points, interior, self.normalized.right.points])
 
     def solution_curve(self, u: np.ndarray) -> BSplineCurve:
         scene = self.normalized.original
@@ -296,8 +303,8 @@ class ResidualSystem:
 
     Every leaf D<order>(<index>) is affine in u, ``I = b + A @ u``, because
     the control sequence is and differencing is linear; ``leaf_maps`` builds
-    (b, A) once per distinct leaf, and ``compile_jet`` turns the Lagrangian
-    into one function of the leaf values, also once per system.  action,
+    (b, A) once per distinct leaf, and ``compile_jet`` expands the
+    Lagrangian, a polynomial in u, into coefficients, also once.  action,
     residual and jacobian are then the value, exact gradient and exact
     Hessian of that jet at u; ``jet`` evaluates all three over a batch of u
     at once.
@@ -309,9 +316,9 @@ class ResidualSystem:
         self.lagrangian = lagrangian
 
         offset, basis = layout.sequence_map()
-        slot, self._b, self._A = leaf_maps(lagrangian, offset, basis, layout.first_index)
+        slot, b, self._A = leaf_maps(lagrangian, offset, basis, layout.first_index)
         self._check_balance()
-        self._jet = compile_jet(lagrangian, slot, self._A)
+        self._jet = compile_jet(lagrangian, slot, b, self._A)
 
     @property
     def unknown_count(self) -> int:
@@ -332,16 +339,11 @@ class ResidualSystem:
     def jet(self, u: np.ndarray) -> tuple:
         """Action, residual and exact Jacobian at every row of u, (..., m).
 
-        One call of the compiled jet covers the whole batch: every leaf's
-        values ``b + A @ u`` are formed for all rows at once.  Returns value
+        One call of the compiled jet covers the whole batch.  Returns value
         (...), gradient (..., m) and Hessian (..., m, m); a Hessian that does
-        not depend on u is broadcast to the batch here, as a read-only view.
+        not depend on u is a read-only view of one matrix.
         """
-        u = self.layout.check_unknowns(u, batch=True)
-        # one matrix-vector product per row and leaf, as for a single u
-        values = self._b + (self._A @ u[..., None, :, None])[..., 0]
-        value, grad, hess = self._jet(values)
-        return value, grad, np.broadcast_to(hess, u.shape[:-1] + (self.unknown_count,) * 2)
+        return self._jet(self.layout.check_unknowns(u, batch=True))
 
     def action(self, u: np.ndarray) -> float:
         """Lagrangian value at the reconstruction."""

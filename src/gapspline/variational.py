@@ -1,9 +1,10 @@
 """Discrete variational calculus on difference invariants.
 
-The library's gradient of a Lagrangian is the jet's gradient through constant
-leaf maps (:func:`gapspline.lagrangian.grad_lagrangian`, the route ``solve``
-takes).  Summation by parts writes it as the paper's discrete Euler–Lagrange
-operator expression
+The library's gradient of a Lagrangian is its expansion's gradient
+coefficient through constant leaf maps
+(:func:`gapspline.lagrangian.grad_lagrangian`, the route ``solve`` takes).
+Summation by parts writes it as the paper's discrete Euler–Lagrange operator
+expression
 
     dL/dq_i = sum_l (S^-1 - id)^l [ dL/dI_{.,l} ]_i
 
@@ -17,7 +18,7 @@ both.
 import numpy as np
 
 from .errors import InvalidArgument
-from .lagrangian import Expr, as_points, compile_jet, leaf_maps
+from .lagrangian import Expr, as_points, first_order, leaf_maps
 
 
 def shift_difference(values: np.ndarray, power: int = 1, inverse: bool = False) -> np.ndarray:
@@ -55,8 +56,8 @@ def leaf_partial_sequences(expr: Expr, points, first_index: int = 1) -> dict[int
     n, dim = points.shape
     slot, values, _ = leaf_maps(expr, points, np.zeros((0, n, dim)), first_index)
     size = len(slot) * dim  # one parameter per coordinate of each leaf
-    jet = compile_jet(expr, slot, np.eye(size).reshape(len(slot), dim, size))
-    bars = np.broadcast_to(jet(values)[1], (size,)).reshape(-1, dim)
+    bars = first_order(expr, slot, values, np.eye(size).reshape(len(slot), dim, size))[1]
+    bars = bars.reshape(-1, dim)
     out: dict[int, np.ndarray] = {}
     for (order, index), bar in zip(slot, bars):
         out.setdefault(order, np.zeros((n, dim)))[index - first_index] = bar

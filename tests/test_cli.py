@@ -197,12 +197,14 @@ def test_file_errors_exit_2_with_one_line(tmp_path, capsys, argv):
 
 
 def _malformed_files(tmp_path):
-    """A scene with a non-numeric point and a solution with a non-numeric knot."""
+    """A scene with a non-numeric point, a solution with a non-numeric knot,
+    and a solution with a float dim."""
     scene = json.loads(Path(EX1).read_text())
     scene["left"]["points"][1] = [1.0, "a"]
     (tmp_path / "scene.json").write_text(json.dumps(scene))
     _, sol = _solve_to(tmp_path)
     solution = json.loads(sol.read_text())
+    (tmp_path / "float-dim.json").write_text(json.dumps({**solution, "dim": 2.0}))
     solution["solution"]["knots"][2] = "b"
     (tmp_path / "solution.json").write_text(json.dumps(solution))
 
@@ -213,8 +215,9 @@ def _malformed_files(tmp_path):
         (["solve", "{tmp}/scene.json"], "left.points must be an n x 2 array of numbers"),
         (["eval", "{tmp}/solution.json"], "solution.knots invalid"),
         (["render", EX1, "--solution", "{tmp}/solution.json"], "solution.knots invalid"),
+        (["eval", "{tmp}/float-dim.json"], "dim must be 2 or 3, got 2.0"),
     ],
-    ids=["solve-scene", "eval-solution", "render-solution"],
+    ids=["solve-scene", "eval-solution", "render-solution", "eval-float-dim"],
 )
 def test_malformed_files_exit_2_with_one_line(tmp_path, capsys, argv, message):
     _malformed_files(tmp_path)
@@ -257,7 +260,7 @@ _ORIENTATION = "boundary tangents would point away from the gap"
         ("example1", 0, "", 0.16666666666666682, 0.33333333333333287),
         (
             "example2", 5,
-            f"converged root violates orientation (alpha=0, beta=-5.55112e-17); {_ORIENTATION}",
+            f"converged root violates orientation (alpha=0, beta=0); {_ORIENTATION}",
             0.0, -5.551115123125783e-17,
         ),
         ("example3", 0, "", 0.12647421372987486, 0.2570572270943017),
@@ -297,6 +300,41 @@ def test_shipped_scenes_keep_their_outcome(
         (exc,) = carried
         found = exc.alpha, exc.beta
     np.testing.assert_allclose(found, (alpha, beta), rtol=0.0, atol=1e-12)
+
+
+# The control points in the input's frame that `gapspline solve` writes for
+# each exit-0 shipped scene, as written before the Lagrangian's jet was
+# expanded into polynomial coefficients.
+@pytest.mark.parametrize(
+    "name, points",
+    [
+        ("example1", [
+            (3.9999999999999996, 3),
+            (4.333333333333333, 3.333333333333334),
+            (6.666666666666666, 1.6666666666666672),
+            (6.999999999999999, 2),
+        ]),
+        ("example3", [
+            (3.9999999999999996, 3, -0.5000000000000001),
+            (4.252948427459749, 3.2529484274597498, -0.43676289313506267),
+            (5.489907015362512, 2.490105361417594, -0.29261460453601973),
+            (6.742942772905699, 1.7429427729056988, -0.128528613547151),
+            (7, 2.0000000000000004, -2.220446049250313e-16),
+        ]),
+        ("example4", [
+            (3.0000000000000004, 1.5, 1.5000000000000002),
+            (4.0000000000000036, 1.4999999999999996, 2.0000000000000013),
+            (5.0000000000000036, 1.3333333333333321, 2.5000000000000018),
+            (6.000000000000002, 0.9999999999999991, 3.000000000000001),
+            (7, 0.5000000000000004, 3.5),
+        ]),
+    ],
+)
+def test_shipped_solutions_keep_their_points(tmp_path, name, points):
+    code, out = _solve_to(tmp_path, str(SCENES_DIR / f"{name}.json"))
+    assert code == 0
+    found = json.loads(out.read_text())["original_points"]
+    np.testing.assert_allclose(found, points, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("option", [["--seed", "-1"], ["--tol", "inf"]], ids=["seed", "tol"])

@@ -221,7 +221,9 @@ def test_solution_curve_error_paths(scene_2d):
         (lambda d: d["original_points"][1].__setitem__(0, "x"), "array of numbers"),
         (lambda d: d["original_points"][1].append(0.0), "array of numbers"),
         (lambda d: d.update(original_points=[[0.0, 0.0, 0.0]] * 4), r"n x 2 array$"),
-        (lambda d: d.update(dim=5), "n x 5 array$"),
+        (lambda d: d.update(dim=5), "dim must be 2 or 3, got 5$"),
+        (lambda d: d.update(dim=2.0), "dim must be 2 or 3, got 2.0$"),
+        (lambda d: d.update(dim=True), "dim must be 2 or 3, got True$"),
         (lambda d: d.pop("dim"), "missing required field 'dim'"),
     ]:
         with pytest.raises(FormatError, match=message):

@@ -1,20 +1,25 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import L_EX1, L_EX2, L_EX3, L_PLANNER, random_rotation
-from oracles import level_adjoint_gradient
+from oracles import _cross, _skew, level_adjoint_gradient
+from gapspline.bspline import BSplineCurve, make_knot_vector
 from gapspline.errors import DslSyntaxError, DslTypeError, InvalidArgument
 from gapspline.lagrangian import (
+    MAX_DEGREE,
     Diff,
     Dot,
     Number,
     Product,
     Sum,
     Trip,
-    _cross,
-    _skew,
+    compile_jet,
+    degree,
     eval_lagrangian,
     format_lagrangian,
     grad_lagrangian,
@@ -23,6 +28,7 @@ from gapspline.lagrangian import (
     parse_lagrangian,
     validate_lagrangian,
 )
+from gapspline.system import Scene, build_layout, normalize_scene
 from gapspline.variational import el_gradient
 
 EX1_LEFT = np.array([(0.0, 0.0), (1.0, 4.0), (2.0, 1.0), (4.0, 3.0)])
@@ -364,3 +370,80 @@ def test_third_differences_agree_across_routes_on_five_points():
     g = grad_lagrangian(e, points, range(1, 6))
     np.testing.assert_allclose(el_gradient(e, points), g, rtol=0, atol=1e-12 * np.abs(g).max())
     np.testing.assert_allclose(_fd_gradient(e, points, 1, range(1, 6)), g, rtol=0, atol=1e-6 * np.abs(g).max())
+
+
+# ---------------------------------------------------------------- jet
+
+
+def _jet_routes(text, seed, rows=4):
+    """The compiled jet and the closure oracle at ``rows`` random u of a 3D
+    system whose leaf maps reach base points -3..9, the range of _VEC_TEXT."""
+    rng = np.random.default_rng(seed)
+    # five left points put q1 at index 1 and the first at -3; a six-point
+    # connecting curve and four right points end at index 9
+    left = BSplineCurve(make_knot_vector(3, 2), rng.normal(size=(5, 3)))
+    right = BSplineCurve(make_knot_vector(3, 1), rng.normal(size=(4, 3)) + (6.0, 0.0, 0.0))
+    layout = build_layout(normalize_scene(Scene(left, right, 3, 3)))
+    assert layout.first_index == -3 and layout.unknown_count == 8
+    offset, basis = layout.sequence_map()
+    e = parse_lagrangian(text)
+    slot, b, A = leaf_maps(e, offset, basis, layout.first_index)
+    u = rng.normal(size=(rows, layout.unknown_count))
+    linear = (A @ u[..., None, :, None])[..., 0]
+    m = layout.unknown_count
+    shapes = [(rows,), (rows, m), (rows, m, m)]  # a constant part comes unbroadcast
+    jets = [
+        [np.broadcast_to(part, shape) for part, shape in zip(jet, shapes)]
+        for jet in (compile_jet(e, slot, b, A)(u), oracles.compile_jet(e, slot, A)(b + linear))
+    ]
+    # a bound on each leaf b + A u and on its derivatives, row by row
+    lengths = np.linalg.norm(b, axis=-1) + np.linalg.norm(A, axis=(1, 2)) * (
+        1.0 + np.linalg.norm(u, axis=-1, keepdims=True)
+    )
+    return jets + [np.broadcast_to(_size(e, slot, lengths), (rows,))]
+
+
+def _size(node, slot, lengths):
+    """A bound on the Lagrangian and its derivatives were none of its terms
+    to cancel: each dot or trip as the product of its legs' bounds, numbers
+    by their magnitude.  Expanding into coefficients rounds on this scale,
+    whatever the cancellation leaves of the value."""
+    if isinstance(node, Number):
+        return abs(node.value)
+    if isinstance(node, (Dot, Trip)):
+        legs = (node.left, node.right) if isinstance(node, Dot) else (node.left, node.middle, node.right)
+        return reduce(np.multiply, [lengths[..., slot[d.order, d.index]] for d in legs])
+    if isinstance(node, Sum):
+        return reduce(np.add, [_size(t, slot, lengths) for t in node.terms])
+    return reduce(np.multiply, [_size(f, slot, lengths) for f in node.factors])
+
+
+def _assert_jets_agree(expanded, expected, size, rtol=1e-12):
+    value, grad, hess = expanded
+    np.testing.assert_array_equal(hess, np.swapaxes(hess, -1, -2))
+    # relative to the rows' sizes, where u and the leaf maps are of order one
+    scale = np.maximum(1.0, size)
+    for found, wanted in zip(expanded, expected):
+        error = np.abs(found - wanted).reshape(len(scale), -1).max(axis=-1)
+        assert (error <= rtol * scale).all(), (error / scale).max()
+
+
+# number literals stay within 1e3, as for the gradient routes
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_grammar_text(_number_text(["", "E-2", "e-300"])), st.integers(0, 2**32 - 1))
+def test_expanded_jet_matches_the_closure_oracle_on_grammar_texts(text, seed):
+    _assert_jets_agree(*_jet_routes(text, seed))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "dot(D2(1),D2(2))*dot(D2(2),D2(3))*dot(D1(0),D3(1))",
+        "trip(D2(1),D2(2),D2(3))*trip(D1(0),D2(4),D3(-1))",
+        "2.5*trip(D2(1),D2(2),D2(3))*trip(D1(0),D2(4),D3(-1)) + dot(D1(1),D1(2)) + 1.5",
+    ],
+)
+def test_products_above_the_expanded_degree_follow_the_product_rule(text):
+    assert degree(parse_lagrangian(text)) == 6 > MAX_DEGREE
+    for seed in range(5):
+        _assert_jets_agree(*_jet_routes(text, seed))

@@ -22,6 +22,24 @@ def test_rejects_improper_rotation():
         RigidTransform(np.array([[1.0, 0.2], [0.0, 1.0]]), np.zeros(2))
 
 
+def test_orthonormality_test_is_np_allclose_at_the_same_tolerance():
+    rng = np.random.default_rng(5)
+    for dim in (2, 3):
+        eye = np.eye(dim)
+        for _ in range(400):
+            R = random_rotation(rng, dim)
+            R[rng.integers(dim), rng.integers(dim)] += rng.choice([-1, 1]) * 10.0 ** rng.uniform(-11, -8)
+            if rng.random() < 0.05:
+                R[0, 0] = rng.choice([np.nan, np.inf])
+            accepted = True
+            try:
+                RigidTransform(R, np.zeros(dim))
+            except InvalidArgument as exc:
+                accepted = "orthonormal" not in str(exc)
+            with np.errstate(invalid="ignore"):
+                assert accepted == np.allclose(R.T @ R, eye, atol=1e-9)
+
+
 def test_inverse_round_trips_random_points():
     rng = np.random.default_rng(5)
     for dim in (2, 3):

@@ -21,7 +21,7 @@ from gapspline import (
     solve,
     start_grid,
 )
-from gapspline.solver import LADDER, STALL_FACTOR, STALL_WINDOW, newton_lockstep
+from gapspline.solver import LADDER, STALL_FACTOR, STALL_WINDOW, _distinct, _root_tol, newton_lockstep
 
 from conftest import SCENES_DIR, L_EX1, L_EX2, L_PLANNER, moved_scene, random_rotation
 
@@ -225,6 +225,20 @@ def test_solve_rejects_misoriented_root(scene_2d):
         np.testing.assert_allclose(exc.root, [0.0, 0.0], atol=1e-9)
         assert exc.alpha == pytest.approx(0.0, abs=1e-9)
         assert exc.residual_norm < 1e-10
+
+
+def test_root_deduplication_matches_the_one_by_one_rule():
+    # clusters of roots whose spreads straddle the tolerance 1e-8 * (1 + max|u|)
+    rng = np.random.default_rng(21)
+    for _ in range(300):
+        centres = rng.normal(scale=10.0 ** rng.integers(-9, 3), size=(3, 3))
+        roots = centres[rng.integers(0, 3, size=12)]
+        roots = roots + rng.normal(size=roots.shape) * 10.0 ** rng.integers(-10, -6, size=(12, 1))
+        kept = []
+        for i, u in enumerate(roots):
+            if not any(np.max(np.abs(u - roots[j])) <= 1e-8 * (1.0 + float(np.max(np.abs(roots[j])))) for j in kept):
+                kept.append(i)
+        assert _distinct(roots, _root_tol(roots)) == kept
 
 
 def test_solve_reports_convergence_failure(scene_2d):
