@@ -18,8 +18,6 @@ the fixed left data, larger ones into the right.
 
 import re
 from dataclasses import dataclass
-from functools import reduce
-from itertools import combinations
 
 import numpy as np
 
@@ -262,19 +260,24 @@ def validate_lagrangian(expr: Expr, dim: int):
 # ---------------------------------------------------------------------------
 
 # Every leaf is affine in the unknowns u, so the Lagrangian is a polynomial in
-# u.  One of degree up to MAX_DEGREE is expanded into coefficients once; a
-# product above it is the product rule over its factors' expansions.
+# u.  A part of degree up to MAX_DEGREE is expanded into coefficients once,
+# while its jet's coefficient matrix W (see _polynomial_jet) holds at most
+# MAX_EXPANDED numbers.  Per row, W costs m^3 for a cubic and m^4 for a
+# quartic in m unknowns, where a trip evaluated from its legs and the product
+# rule over quadratic factors cost m^2: measured, a quartic's expanded jet
+# stopped paying between m = 12 (W = 67,824) and m = 16 (README, "Leaf maps
+# and the exact Jacobian").  Other parts are assembled from their children's
+# jets.
 MAX_DEGREE = 4
+MAX_EXPANDED = 100_000
 
-# for each degree k, the transposes that move one ordered pair of axes s < t
-# of a k-axis coefficient to the end, the other axes first in order
+# for each degree k, the transposes that move one pair of axes s < t of a
+# k-axis coefficient to the end, the other axes first in order
 _FREE_PAIRS = {
-    k: [tuple(a for a in range(k) if a not in pair) + pair for pair in combinations(range(k), 2)]
-    for k in range(2, MAX_DEGREE + 1)
+    2: [(0, 1)],
+    3: [(2, 0, 1), (1, 0, 2), (0, 1, 2)],
+    4: [(2, 3, 0, 1), (1, 3, 0, 2), (1, 2, 0, 3), (0, 3, 1, 2), (0, 2, 1, 3), (0, 1, 2, 3)],
 }
-
-# the Levi-Civita symbol, (e_i x e_j)_k: trip(a, b, c) = sum_ijk eps_ijk a_i b_j c_k
-_EPS = np.cross(np.eye(3)[:, None], np.eye(3))
 
 
 def degree(expr: Expr) -> int:
@@ -308,16 +311,20 @@ def expand(expr: Expr, slot: dict, b: np.ndarray, A: np.ndarray, cap: int) -> li
         if isinstance(node, Trip):
             if b.shape[-1] != 3:
                 raise DslTypeError("trip() needs 3D leaves")
-            # (b x c)_i = eps_ijk b_j c_k, then a . (b x c)
-            cross = [np.inner(c, _EPS) for c in leg(node.right)]
+            # (b x c)_i = skew(-c)_ij b_j, then a . (b x c)
+            cross = [_skew(-c) for c in leg(node.right)]
             cross = _convolve(leg(node.middle), cross, np.inner, cap)
             return _convolve(leg(node.left), cross, np.inner, cap)
         if isinstance(node, Sum):
-            return reduce(_add, map(walk, node.terms))
+            total, *rest = map(walk, node.terms)
+            for part in rest:
+                total = [x + y for x, y in zip(total, part)] + total[len(part) :] + part[len(total) :]
+            return total
         if isinstance(node, Product):
-            return reduce(
-                lambda p, q: _convolve(p, q, np.multiply.outer, cap), map(walk, node.factors)
-            )
+            total, *rest = map(walk, node.factors)
+            for part in rest:
+                total = _convolve(total, part, np.multiply.outer, cap)
+            return total
         raise InvalidArgument(f"cannot evaluate node {node!r}")
 
     return walk(expr)
@@ -334,9 +341,14 @@ def _convolve(p: list, q: list, pair, cap: int) -> list:
     return out
 
 
-def _add(p: list, q: list) -> list:
-    """Coefficients of the sum of two expansions."""
-    return [x + y for x, y in zip(p, q)] + p[len(q) :] + q[len(p) :]
+def _skew(v: np.ndarray) -> np.ndarray:
+    """Cross-product matrices, skew(v) @ w == v x w, shape (..., 3, 3)."""
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    out = np.zeros(v.shape + (3,))
+    out[..., 0, 1], out[..., 0, 2] = -z, y
+    out[..., 1, 0], out[..., 1, 2] = z, -x
+    out[..., 2, 0], out[..., 2, 1] = -y, x
+    return out
 
 
 def compile_jet(expr: Expr, slot: dict, b: np.ndarray, A: np.ndarray):
@@ -346,12 +358,17 @@ def compile_jet(expr: Expr, slot: dict, b: np.ndarray, A: np.ndarray):
     and returns value (...), gradient (..., m) and Hessian (..., m, m), each
     row computed as if alone, every Hessian symmetric bit for bit; below
     degree 3 the Hessian is constant, a read-only view of one matrix.  Up
-    to ``MAX_DEGREE`` the Lagrangian is expanded here, once; above it, a sum
-    adds its terms' jets and a product applies the product rule to its
-    factors' jets.
+    to ``MAX_DEGREE`` and ``MAX_EXPANDED`` the Lagrangian is expanded here,
+    once; otherwise a trip is evaluated from its legs, a sum adds its terms'
+    jets and a product applies the product rule to its factors' jets.
     """
-    if degree(expr) <= MAX_DEGREE:
-        return _polynomial_jet(expand(expr, slot, b, A, MAX_DEGREE), A.shape[-1])
+    m = A.shape[-1]
+    d = degree(expr)
+    # W has 3 m^2 columns and one row per feature 1, u_i, u_i u_j up to degree d - 2
+    if d < 3 or (d <= MAX_DEGREE and 3 * m * m * sum(m**j for j in range(d - 1)) <= MAX_EXPANDED):
+        return _polynomial_jet(expand(expr, slot, b, A, MAX_DEGREE), m)
+    if isinstance(expr, Trip):
+        return _trip_jet(expr, slot, b, A)
     if isinstance(expr, Sum):
         parts = [compile_jet(t, slot, b, A) for t in expr.terms]
 
@@ -378,6 +395,27 @@ def compile_jet(expr: Expr, slot: dict, b: np.ndarray, A: np.ndarray):
     return product
 
 
+def _trip_jet(node: Trip, slot: dict, b: np.ndarray, A: np.ndarray):
+    """The jet of (a x b) . c from the values of its legs a, b and c."""
+    if b.shape[-1] != 3:
+        raise DslTypeError("trip() needs 3D leaves")
+    rows = [slot[d.order, d.index] for d in node.legs]
+    offsets, maps = b[rows], A[rows]
+    Aa, Ab, Ac = maps
+
+    def trip(u):
+        a, b, c = np.moveaxis(offsets + (maps @ u[..., None, :, None])[..., 0], -2, 0)
+        Sa, Sb, Sc = _skew(a), _skew(b), _skew(c)
+        ab = Sa @ b[..., :, None]
+        # d2/da db of (a x b) . c is skew(c)^T = -skew(c)
+        S = -(Aa.T @ Sc @ Ab + Ab.T @ Sa @ Ac + Ac.T @ Sb @ Aa)
+        grad = Aa.T @ (Sb @ c[..., :, None]) + Ab.T @ (Sc @ a[..., :, None]) + Ac.T @ ab
+        value = (c[..., None, :] @ ab)[..., 0, 0]
+        return value, grad[..., 0], S + np.swapaxes(S, -1, -2)
+
+    return trip
+
+
 def _polynomial_jet(C: list, m: int):
     """The jet of ``sum_k C_k[u, ..., u]``, k <= 4, from one stacked matmul.
 
@@ -394,24 +432,25 @@ def _polynomial_jet(C: list, m: int):
     c0, c1, mm = C[0], C[1], m * m
     if len(C) == 3:
         H = C[2] + C[2].T
-        GV = np.concatenate([H, H / 2])
     else:
-        Ks = [
-            reduce(np.add, [Ck.transpose(axes) for axes in _FREE_PAIRS[k]]).reshape(-1, m, m)
-            for k, Ck in enumerate(C[2:], start=2)
-        ]
+        Ks, divisors = [], []
+        for k, Ck in enumerate(C[2:], start=2):
+            Kk = sum(Ck.transpose(axes) for axes in _FREE_PAIRS[k])
+            Ks.append(Kk.reshape(-1, m, m))
+            # the rows of degree k: G takes H_k / (k - 1), V takes H_k / (k (k - 1))
+            divisors += [(k - 1, k * (k - 1))] * len(Ks[-1])
         K = np.concatenate(Ks)
         H = K + K.transpose(0, 2, 1)
         W = np.stack([K, H, H], axis=1)
-        # the rows of degree k: G takes H_k / (k - 1), V takes H_k / (k (k - 1))
-        divisors = [(k - 1, k * (k - 1)) for k in range(2, len(C))]
-        W[:, 1:] /= np.repeat(divisors, [len(Kk) for Kk in Ks], axis=0)[:, :, None, None]
+        W[:, 1:] /= np.array(divisors, dtype=float)[:, :, None, None]
         W = W.reshape(len(W), 3 * mm)
 
     def jet(u):
         if len(C) == 3:
             hess = np.broadcast_to(H, u.shape[:-1] + (m, m))
-            gv = (GV @ u[..., :, None])[..., 0]
+            # V = G / 2 = H / 2, and halving is exact
+            Gu = (H @ u[..., :, None])[..., 0]
+            Vu = Gu / 2
         else:
             batch = u.shape[:-1]
             features = [np.ones(batch + (1,)), u]
@@ -421,9 +460,10 @@ def _polynomial_jet(C: list, m: int):
             K = Z[..., :mm].reshape(batch + (m, m))
             hess = K + np.swapaxes(K, -1, -2)
             gv = (Z[..., mm:].reshape(batch + (2 * m, m)) @ u[..., :, None])[..., 0]
-        w = c1 + gv[..., m:]
+            Gu, Vu = gv[..., :m], gv[..., m:]
+        w = c1 + Vu
         value = c0 + (u[..., None, :] @ w[..., :, None])[..., 0, 0]
-        return value, c1 + gv[..., :m], hess
+        return value, c1 + Gu, hess
 
     return jet
 

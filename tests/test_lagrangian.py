@@ -1,4 +1,6 @@
+import tracemalloc
 from functools import reduce
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,8 +9,9 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import L_EX1, L_EX2, L_EX3, L_PLANNER, random_rotation
-from oracles import _cross, _skew, level_adjoint_gradient
+from oracles import _cross, level_adjoint_gradient
 from gapspline.bspline import BSplineCurve, make_knot_vector
+from gapspline import lagrangian
 from gapspline.errors import DslSyntaxError, DslTypeError, InvalidArgument
 from gapspline.lagrangian import (
     MAX_DEGREE,
@@ -18,6 +21,7 @@ from gapspline.lagrangian import (
     Product,
     Sum,
     Trip,
+    _skew,
     compile_jet,
     degree,
     eval_lagrangian,
@@ -375,22 +379,29 @@ def test_third_differences_agree_across_routes_on_five_points():
 # ---------------------------------------------------------------- jet
 
 
-def _jet_routes(text, seed, rows=4):
-    """The compiled jet and the closure oracle at ``rows`` random u of a 3D
-    system whose leaf maps reach base points -3..9, the range of _VEC_TEXT."""
-    rng = np.random.default_rng(seed)
-    # five left points put q1 at index 1 and the first at -3; a six-point
-    # connecting curve and four right points end at index 9
+def _leaf_system(text, rng, pieces=3):
+    """The Lagrangian and its leaf maps in a 3D system of 3 * pieces - 1
+    unknowns, over base points -3..pieces + 6: -3..9 by default, the range
+    of _VEC_TEXT."""
+    # five left points put q1 at index 1 and the first at -3; a connecting
+    # curve of pieces + 3 points and four right points end at pieces + 6
     left = BSplineCurve(make_knot_vector(3, 2), rng.normal(size=(5, 3)))
     right = BSplineCurve(make_knot_vector(3, 1), rng.normal(size=(4, 3)) + (6.0, 0.0, 0.0))
-    layout = build_layout(normalize_scene(Scene(left, right, 3, 3)))
-    assert layout.first_index == -3 and layout.unknown_count == 8
+    layout = build_layout(normalize_scene(Scene(left, right, 3, pieces)))
+    assert layout.first_index == -3 and layout.unknown_count == 3 * pieces - 1
     offset, basis = layout.sequence_map()
     e = parse_lagrangian(text)
-    slot, b, A = leaf_maps(e, offset, basis, layout.first_index)
-    u = rng.normal(size=(rows, layout.unknown_count))
+    return (e, *leaf_maps(e, offset, basis, layout.first_index))
+
+
+def _jet_routes(text, seed, rows=4, pieces=3):
+    """The compiled jet and the closure oracle at ``rows`` random u of
+    :func:`_leaf_system`, and a bound on the rows' sizes."""
+    rng = np.random.default_rng(seed)
+    e, slot, b, A = _leaf_system(text, rng, pieces)
+    m = A.shape[-1]
+    u = rng.normal(size=(rows, m))
     linear = (A @ u[..., None, :, None])[..., 0]
-    m = layout.unknown_count
     shapes = [(rows,), (rows, m), (rows, m, m)]  # a constant part comes unbroadcast
     jets = [
         [np.broadcast_to(part, shape) for part, shape in zip(jet, shapes)]
@@ -447,3 +458,31 @@ def test_products_above_the_expanded_degree_follow_the_product_rule(text):
     assert degree(parse_lagrangian(text)) == 6 > MAX_DEGREE
     for seed in range(5):
         _assert_jets_agree(*_jet_routes(text, seed))
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(_grammar_text(_number_text(["", "E-2", "e-300"])), st.integers(0, 2**32 - 1))
+def test_assembled_jet_matches_the_closure_oracle_on_grammar_texts(text, seed):
+    # with no room to expand, a trip is evaluated from its legs, and a sum or
+    # product of degree 3 or more is assembled from its children's jets
+    with mock.patch.object(lagrangian, "MAX_EXPANDED", 0):
+        _assert_jets_agree(*_jet_routes(text, seed))
+
+
+@pytest.mark.parametrize(
+    "term",
+    ["dot(D2({0}),D2({1}))*dot(D2({1}),D2({2}))", "trip(D2({0}),D2({1}),D2({2})) + dot(D3({0}),D3({1}))"],
+)
+def test_large_topologies_keep_the_jet_small(term):
+    # 35 unknowns, leaves over every point -3..18: expanded, the quartic's
+    # coefficient matrix W would take 37 MB and the cubic's 1 MB
+    text = " + ".join(term.format(i, i + 1, i + 2) for i in range(-3, 15))
+    e, slot, b, A = _leaf_system(text, np.random.default_rng(0), pieces=12)
+    tracemalloc.start()
+    try:
+        compile_jet(e, slot, b, A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+    _assert_jets_agree(*_jet_routes(text, 0, rows=9, pieces=12))

@@ -1,5 +1,7 @@
 """Scene validation, normalization wiring, unknown layout, and residual assembly."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from gapspline import (
     read_scene,
     RigidTransform,
 )
+from gapspline import lagrangian
 from gapspline.solver import SolverConfig, newton_lockstep, start_grid
 
 from conftest import (
@@ -333,7 +336,7 @@ def test_jacobian_is_the_symmetric_derivative_of_the_residual(scene_2d, scene_3d
         assert np.max(np.abs(jac - fd)) / scale < 1e-6
 
 
-def test_batched_jet_equals_the_jet_of_each_row(scene_2d, scene_3d):
+def test_batched_jet_equals_the_jet_of_each_row(scene_2d, scene_3d, monkeypatch):
     numbers = "2*dot(D2(1),D2(2)) + 0.5*dot(D1(1),D1(3))*dot(D2(2),D2(3)) + 1.5"
     cases = [
         (normalize_scene(scene_2d), (), L_EX1),
@@ -342,7 +345,9 @@ def test_batched_jet_equals_the_jet_of_each_row(scene_2d, scene_3d):
         (normalize_scene(scene_3d), (), L_EX3),
     ]
     rng = np.random.default_rng(5)
-    for norm, ties, text in cases:
+    # expanded, and assembled from trips' legs and the product rule
+    for limit, (norm, ties, text) in itertools.product((lagrangian.MAX_EXPANDED, 0), cases):
+        monkeypatch.setattr(lagrangian, "MAX_EXPANDED", limit)
         system = ResidualSystem(build_layout(norm, ties), parse_lagrangian(text))
         m = system.unknown_count
         u = rng.normal(scale=0.8, size=(2, 3, m))
