@@ -93,15 +93,22 @@ def _triangle(kn, degree: int, t) -> list:
     return values
 
 
+def parameter_array(t) -> np.ndarray:
+    """t, a float or an array of floats, as an array; refused unless every
+    value lies in [0, 1]."""
+    ts = np.asarray(t, dtype=float)
+    outside = ~((ts >= 0.0) & (ts <= 1.0))
+    if outside.any():
+        raise InvalidArgument(f"parameter {ts[outside].flat[0]} outside [0, 1]")
+    return ts
+
+
 def _evaluate(knots: tuple[float, ...], degree: int, points: np.ndarray, t, order: int):
     """order-th derivative at t, or at each of an array of t, of the curve with
     these control points.  Each value sums its degree+1 terms in a fixed order,
     not through BLAS, so it does not depend on the other parameters.
     """
-    ts = np.asarray(t, dtype=float)
-    outside = ~((ts >= 0.0) & (ts <= 1.0))
-    if outside.any():
-        raise InvalidArgument(f"parameter {ts[outside].flat[0]} outside [0, 1]")
+    ts = parameter_array(t)
     if order < 0:
         raise InvalidArgument("derivative order must be >= 0")
     shape = ts.shape + points.shape[1:]

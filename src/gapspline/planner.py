@@ -7,20 +7,37 @@ the simple same-slope-signs case; anything busier gets one extra control
 point (as a two-piece cubic or a one-piece quartic) with a coordinate tie
 that forces the extra point to spend its budget on inflections rather than
 drift.  More than one extra point is out of scope and reported as such.
+
+Each curve is read through one evaluator call: f' at p nodes on every knot
+span of a degree-p curve, turned into the span's polynomial in
+x = (t - a) / h by a fixed Vandermonde inverse.  The speed, f'' and the
+signed curvature come from those polynomials, arc length from adaptive
+Gauss–Legendre quadrature of |f'|, and the window's end parameter from
+Newton's method on the arc length (Guenter & Parent, "Computing the arc
+length of parametric curves", IEEE CG&A 1990).  Both flat rules are
+relative, so the counts do not depend on the scene's units: a curvature
+sample is flat when |kappa| times the window's arc length is below
+FLAT_CURVATURE, and kappa is 0 where |f'| is at most STILL_SPEED times the
+length of the control polygon.
 """
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .bspline import BSplineCurve
+from .bspline import BSplineCurve, parameter_array
 from .errors import InvalidArgument, UnsupportedComplexity
 from .system import CoordinateTie, NormalizedScene, case1_tie, case2_tie
 
 CURVATURE_SAMPLES = 512
-ARC_SAMPLES = 2048
-FLAT_CURVATURE = 1e-9
+FLAT_CURVATURE = 1e-9  # bound on |kappa| times the window's arc length
+STILL_SPEED = 1e-10  # bound on |f'| over the control polygon's length
+GAUSS_ORDER = 24
+ARC_TOLERANCE = 1e-11  # bound on a panel's halving error over the curve's arc length
+MAX_HALVINGS = 40
+NEWTON_STEPS = 60
 
 CASE1 = "Case1"
 CASE2 = "Case2"
@@ -44,40 +61,183 @@ class TopologyPlan:
     window_clamped: bool = False
 
 
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss–Legendre nodes on [0, 1], ascending, and weights summing
+    to 1: Newton's method on the three-term Legendre recurrence from the
+    usual cosine guesses (Press et al., *Numerical Recipes*, 4.6), with no
+    call into LAPACK."""
+    x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(8):
+        p0, p1 = np.ones(n), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        slope = n * (x * p1 - p0) / (x * x - 1.0)
+        x = x - p1 / slope
+    return (1.0 - x) / 2.0, 1.0 / ((1.0 - x * x) * slope * slope)
+
+
+GAUSS_NODES, GAUSS_WEIGHTS = _gauss_legendre(GAUSS_ORDER)
+# a panel, the panel after it, and the two together, in units of a panel
+SPLIT_NODES = np.concatenate([GAUSS_NODES, 1.0 + GAUSS_NODES, 2.0 * GAUSS_NODES])
+END_NODES = np.append(GAUSS_NODES, 1.0)
+
+
+@lru_cache(maxsize=16)
+def _fit(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """count Chebyshev nodes in (0, 1) and the inverse of their Vandermonde
+    matrix, which maps values at the nodes to monomial coefficients: its
+    column j holds the coefficients of the j-th Lagrange polynomial."""
+    nodes = (1.0 - np.cos((2 * np.arange(count) + 1) * np.pi / (2 * count))) / 2.0
+    inverse = np.empty((count, count))
+    for j in range(count):
+        others = np.delete(nodes, j)
+        column = np.ones(1)
+        for root in others:
+            column = np.convolve(column, [-root, 1.0])
+        inverse[:, j] = column / np.prod(nodes[j] - others)
+    nodes.flags.writeable = inverse.flags.writeable = False
+    return nodes, inverse
+
+
+class _Hodograph:
+    """f' of a planar curve as one polynomial per knot span, fitted from one
+    evaluator call.
+
+    On the span [a, a + h] of a degree-p curve, f' is a polynomial of degree
+    p - 1 in x = (t - a) / h, so its p coefficients follow from its values at
+    p nodes, and f'' is that polynomial's derivative over h.
+    """
+
+    def __init__(self, curve: BSplineCurve):
+        p = curve.degree
+        knots = curve.knots.knots
+        self.breaks = np.array(knots[p : len(knots) - p])  # clamped: the distinct knots
+        self.widths = np.diff(self.breaks)
+        nodes, inverse = _fit(p)
+        values = curve.derivative(self.breaks[:-1] + self.widths * nodes[:, None], 1)
+        coef = (inverse @ values.reshape(p, -1)).reshape(values.shape)
+        # row i: the x and y coefficients of x**0, x**1, ... on span i
+        self.rows = np.ascontiguousarray(coef.transpose(1, 0, 2)).reshape(len(self.widths), -1)
+        # the control polygon is at least as long as the curve
+        legs = np.diff(curve.points, axis=0)
+        self.speed_floor = STILL_SPEED * np.sqrt((legs * legs).sum(axis=1)).sum()
+
+    def derivatives(self, span, x, second: bool = True):
+        """x', y', x'' and y'' at x on the given spans (1-D arrays of one
+        length), f' per unit t and f'' per unit t and x; f'' is 0 unless
+        ``second``."""
+        g = self.rows[span].T
+        dx, dy, ddx, ddy = g[-2], g[-1], 0.0, 0.0
+        for k in range(len(g) // 2 - 2, -1, -1):  # Horner for a value and its derivative
+            if second:
+                ddx, ddy = ddx * x + dx, ddy * x + dy
+            dx, dy = dx * x + g[2 * k], dy * x + g[2 * k + 1]
+        return dx, dy, ddx, ddy
+
+    def speeds(self, span, x) -> np.ndarray:
+        dx, dy, _, _ = self.derivatives(span, x, second=False)
+        return np.sqrt(dx * dx + dy * dy)
+
+    def curvature(self, t: np.ndarray) -> np.ndarray:
+        """Signed curvature (x'y'' - y'x'') / |f'|^3 at a 1-D array of t in
+        [0, 1]; 0 where |f'| is at most STILL_SPEED times the length of the
+        control polygon."""
+        span = np.minimum(np.searchsorted(self.breaks, t, side="right"), len(self.widths)) - 1
+        width = self.widths[span]
+        dx, dy, ddx, ddy = self.derivatives(span, (t - self.breaks[span]) / width)
+        speed_sq = dx * dx + dy * dy
+        denom = speed_sq * np.sqrt(speed_sq) * width  # array and scalar ** 1.5 can differ
+        cross = dx * ddy - dy * ddx
+        return np.divide(cross, denom, out=np.zeros(len(t)), where=speed_sq > self.speed_floor**2)
+
+
+class _ArcLength:
+    """Arc length of a curve from its hodograph, and its inverse.
+
+    Adaptive Gauss–Legendre quadrature of |f'| (Guenter & Parent, "Computing
+    the arc length of parametric curves", IEEE CG&A 1990): a panel, at first
+    a whole knot span, is halved until its halves' lengths add up to its own
+    to within ARC_TOLERANCE times the curve's length, and the halves are kept.
+    """
+
+    def __init__(self, hodograph: _Hodograph):
+        self.hodograph = hodograph
+        span = np.arange(len(hodograph.widths))
+        start, size = np.zeros(len(span)), np.ones(len(span))
+        kept = []  # (span, starts, size, lengths) of pairs of halves
+        for level in range(MAX_HALVINGS):
+            size = size / 2
+            lengths = self._lengths(span, start, size)
+            halves, whole = lengths[:, :2], lengths[:, 2]
+            if level == 0:
+                tol = ARC_TOLERANCE * whole.sum()
+            rough = np.abs(halves.sum(axis=1) - whole) > tol
+            if level == MAX_HALVINGS - 1:
+                rough[:] = False
+            starts = start[:, None] + size[:, None] * [0.0, 1.0]
+            kept.append((span[~rough], starts[~rough], size[~rough], halves[~rough]))
+            span, size = np.repeat(span[rough], 2), np.repeat(size[rough], 2)
+            start = starts[rough].ravel()
+            if not len(span):
+                break
+        span, start, size, length = (np.concatenate(part) for part in zip(*kept))
+        span, start, size, length = np.repeat(span, 2), start.ravel(), np.repeat(size, 2), length.ravel()
+        order = np.argsort(span + start)  # start < 1
+        self.panels = span[order], start[order], size[order]
+        self.cumulative = np.concatenate(([0.0], np.cumsum(length[order])))
+        self.total = float(self.cumulative[-1])
+
+    def _lengths(self, span, start, size) -> np.ndarray:
+        """Gauss–Legendre arc lengths of the panels [start, start + size] of
+        the spans (column 0), of the panels after them (1), and of the two
+        together (2)."""
+        x = start[:, None] + size[:, None] * SPLIT_NODES
+        speeds = self.hodograph.speeds(np.repeat(span, SPLIT_NODES.size), x.ravel())
+        rules = speeds.reshape(len(span), 3, -1) @ GAUSS_WEIGHTS
+        return (self.hodograph.widths[span] * size)[:, None] * rules * [1.0, 1.0, 2.0]
+
+    def parameter_at(self, s: float) -> float:
+        """t at which the arc length from t = 0 is s, for 0 < s < total.
+
+        Newton's method on the arc length inside the panel holding s, by the
+        panel's Gauss–Legendre rule scaled to [start, start + u]; a step that
+        leaves the bracket, as at a zero-speed point, bisects it instead.
+        """
+        k = int(np.searchsorted(self.cumulative, s, side="right")) - 1
+        span, start, size = (int(self.panels[0][k]), float(self.panels[1][k]),
+                             float(self.panels[2][k]))
+        width = float(self.hodograph.widths[span])
+        rest = s - float(self.cumulative[k])
+        spans = np.full(END_NODES.shape, span)
+        lo, hi = 0.0, size
+        u = size * rest / float(self.cumulative[k + 1] - self.cumulative[k])
+        for _ in range(NEWTON_STEPS):
+            speeds = self.hodograph.speeds(spans, start + u * END_NODES)
+            excess = width * u * float(speeds[:-1] @ GAUSS_WEIGHTS) - rest
+            if excess > 0.0:
+                hi = u
+            else:
+                lo = u
+            slope = width * float(speeds[-1])
+            new = 0.5 * (lo + hi)
+            if slope > 0.0 and lo <= u - excess / slope <= hi:
+                new = u - excess / slope
+            step, u = new - u, new
+            if abs(step) <= 1e-10:  # then u is off by ~step**2, or by step after a bisection
+                break
+        return float(self.hodograph.breaks[span]) + width * (start + u)
+
+
 def signed_curvature(curve: BSplineCurve, t):
-    """(x'y'' - y'x'') / |f'|^3 from exact parametric derivatives, at t or an
-    array of t; 0 where |f'|^3 < 1e-30.
+    """(x'y'' - y'x'') / |f'|^3 at t or an array of t, from the curve's
+    per-span polynomials; 0 where |f'| is at most 1e-10 times the length of
+    the control polygon.
     """
     if curve.dim != 2:
         raise InvalidArgument("signed curvature is a planar notion")
-    d1 = curve.derivative(t, 1)
-    d2 = curve.derivative(t, 2)
-    speed_sq = (d1 * d1).sum(axis=-1)
-    denom = speed_sq * np.sqrt(speed_sq)  # array and scalar ** 1.5 can differ
-    cross = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
-    kappa = np.divide(cross, denom, out=np.zeros(denom.shape), where=~(denom < 1e-30))
+    ts = parameter_array(t)
+    kappa = _Hodograph(curve).curvature(ts.ravel()).reshape(ts.shape)
     return kappa if kappa.ndim else float(kappa)
-
-
-def _cumulative_arc(curve: BSplineCurve) -> tuple[np.ndarray, np.ndarray]:
-    ts = np.linspace(0.0, 1.0, ARC_SAMPLES + 1)
-    pts = curve.sample(ARC_SAMPLES + 1)
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    return ts, np.concatenate([[0.0], np.cumsum(seg)])
-
-
-def _param_at_arc(ts: np.ndarray, cum: np.ndarray, s: float) -> float:
-    s = min(max(s, 0.0), float(cum[-1]))
-    i = int(np.searchsorted(cum, s))
-    if i <= 0:
-        return float(ts[0])
-    if i >= len(cum):
-        return float(ts[-1])
-    lo, hi = cum[i - 1], cum[i]
-    if hi == lo:
-        return float(ts[i])
-    frac = (s - lo) / (hi - lo)
-    return float(ts[i - 1] + frac * (ts[i] - ts[i - 1]))
 
 
 def _count_inflections(curve: BSplineCurve, window: float, end: str):
@@ -87,16 +247,19 @@ def _count_inflections(curve: BSplineCurve, window: float, end: str):
         raise InvalidArgument(f"window must be positive, got {window}")
     if end not in ("tail", "head"):
         raise InvalidArgument(f"end must be 'tail' or 'head', got {end!r}")
-    ts, cum = _cumulative_arc(curve)
-    total = float(cum[-1])
+    hodograph = _Hodograph(curve)
+    arc = _ArcLength(hodograph)
+    total = arc.total
     clamped = window > total
-    span = min(window, total)
-    if end == "tail":
-        t_lo, t_hi = _param_at_arc(ts, cum, total - span), 1.0
+    length = min(window, total)
+    if length == total:
+        t_lo, t_hi = 0.0, 1.0
+    elif end == "tail":
+        t_lo, t_hi = arc.parameter_at(total - length), 1.0
     else:
-        t_lo, t_hi = 0.0, _param_at_arc(ts, cum, span)
-    kappa = signed_curvature(curve, np.linspace(t_lo, t_hi, CURVATURE_SAMPLES))
-    positive = kappa[~(np.abs(kappa) < FLAT_CURVATURE)] > 0.0
+        t_lo, t_hi = 0.0, arc.parameter_at(length)
+    kappa = hodograph.curvature(np.linspace(t_lo, t_hi, CURVATURE_SAMPLES))
+    positive = kappa[~(np.abs(kappa) * length < FLAT_CURVATURE)] > 0.0
     return int(np.count_nonzero(positive[1:] != positive[:-1])), clamped
 
 
@@ -104,8 +267,8 @@ def count_inflections(curve: BSplineCurve, window: float, end: str = "tail") -> 
     """Signed-curvature sign changes over an end arc of the given length.
 
     ``end`` picks the trailing (``"tail"``) or leading (``"head"``) arc.
-    Curvature magnitudes below 1e-9 are treated as flat.  A window longer
-    than the whole curve is clamped, with a warning.
+    A curvature sample is flat when |kappa| times the arc's length is below
+    1e-9.  A window longer than the whole curve is clamped, with a warning.
     """
     count, clamped = _count_inflections(curve, window, end)
     if clamped:

@@ -1,3 +1,4 @@
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
@@ -86,3 +87,19 @@ def moved_scene(scene: Scene, g: RigidTransform) -> Scene:
         scene.solution_degree,
         scene.solution_pieces,
     )
+
+
+def insert_knot(curve, u):
+    """Boehm's insertion of the knot u; the curve itself is unchanged."""
+    kn, k, p = curve.knots.knots, curve.degree, curve.points
+    s = bisect_right(kn, u) - 1
+    q = []
+    for i in range(len(p) + 1):
+        if i <= s - k:
+            q.append(p[i])
+        elif i > s:
+            q.append(p[i - 1])
+        else:
+            a = (u - kn[i]) / (kn[i + k] - kn[i])
+            q.append(a * p[i] + (1.0 - a) * p[i - 1])
+    return BSplineCurve(KnotVector(kn[: s + 1] + (u,) + kn[s + 1 :], k), np.array(q))

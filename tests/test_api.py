@@ -1,7 +1,11 @@
-"""The public names, and the names the benchmark's tracer binds, all resolve."""
+"""The public names, and the names the benchmark's tracer binds, all resolve;
+importing the package pulls in no numpy submodule it does not use."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from functools import reduce
 from pathlib import Path
 
@@ -31,3 +35,16 @@ def test_every_traced_name_resolves():
     for module, path, _ in rows:
         target = reduce(getattr, path.split("."), importlib.import_module(module))
         assert callable(target), (module, path)
+
+
+def test_import_leaves_numpy_polynomial_unloaded():
+    # the planner's Gauss–Legendre rule comes from numpy.linalg, which numpy
+    # loads anyway; numpy.polynomial would cost import time and memory
+    src = str(Path(gapspline.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, gapspline, gapspline.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -1,11 +1,11 @@
-from bisect import bisect_right
-
 import numpy as np
 import pytest
 
 from gapspline.bspline import BSplineCurve, KnotVector, basis, basis_derivative, make_knot_vector
 from gapspline.errors import InvalidArgument
 from gapspline.planner import signed_curvature
+
+from conftest import insert_knot
 
 KNOT_CASES = [
     make_knot_vector(3, 1),
@@ -237,22 +237,6 @@ def test_basis_derivative_matches_the_differentiated_recursion():
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
 
 
-def _insert_knot(curve, u):
-    """Boehm's insertion of the knot u; the curve itself is unchanged."""
-    kn, k, p = curve.knots.knots, curve.degree, curve.points
-    s = bisect_right(kn, u) - 1
-    q = []
-    for i in range(len(p) + 1):
-        if i <= s - k:
-            q.append(p[i])
-        elif i > s:
-            q.append(p[i - 1])
-        else:
-            a = (u - kn[i]) / (kn[i + k] - kn[i])
-            q.append(a * p[i] + (1.0 - a) * p[i - 1])
-    return BSplineCurve(KnotVector(kn[: s + 1] + (u,) + kn[s + 1 :], k), np.array(q))
-
-
 def test_knot_insertion_leaves_points_and_derivatives_unchanged():
     rng = np.random.default_rng(23)
     for kv in list(_knot_vectors())[::2]:
@@ -260,7 +244,7 @@ def test_knot_insertion_leaves_points_and_derivatives_unchanged():
         refined = curve
         for u in rng.uniform(0.05, 0.95, 3):
             if u not in refined.knots.knots:
-                refined = _insert_knot(refined, float(u))
+                refined = insert_knot(refined, float(u))
         ts = np.array(_parameters(kv, rng, 40))
         for order in range(4):
             want = curve.derivative(ts, order)

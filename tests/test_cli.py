@@ -437,6 +437,34 @@ def test_plan_command(capsys):
     assert (doc["degree"], doc["pieces"]) == (3, 2)
 
 
+# (target, case, realization, degree, pieces, left, right) of the planar
+# shipped scenes; none of their windows is clamped
+PINNED_PLANS = {
+    "example1": (1, "Case1", "OnePieceCubic", 3, 1, 1, 1),
+    "example2": (1, "Case1", "OnePieceCubic", 3, 1, 1, 1),
+    "mul_0_1": (0, "Case1", "OnePieceCubic", 3, 1, 1, 0),
+    "mul_1_1": (0, "Case2", "TwoPieceCubic", 3, 2, 0, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PLANS))
+def test_plan_output_of_the_planar_shipped_scenes_is_pinned(name, capsys):
+    assert main(["plan", str(SCENES_DIR / f"{name}.json")]) == 0
+    target, case, realization, degree, pieces, left, right = PINNED_PLANS[name]
+    assert capsys.readouterr().out == (
+        "{\n"
+        f'  "target_inflections": {target},\n'
+        f'  "case": "{case}",\n'
+        f'  "realization": "{realization}",\n'
+        f'  "degree": {degree},\n'
+        f'  "pieces": {pieces},\n'
+        f'  "left_inflections": {left},\n'
+        f'  "right_inflections": {right},\n'
+        '  "window_clamped": false\n'
+        "}\n"
+    )
+
+
 def test_plan_quartic_request(capsys):
     assert main(["plan", MUL11, "--degree", "4"]) == 0
     assert json.loads(capsys.readouterr().out)["realization"] == "OnePieceQuartic"

@@ -4,6 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 
 from gapspline import (
     BSplineCurve,
@@ -17,11 +20,15 @@ from gapspline import (
     make_knot_vector,
     normalize_scene,
     plan,
+    read_scene,
     signed_curvature,
     target_inflections,
 )
+from gapspline.planner import GAUSS_NODES, GAUSS_ORDER, GAUSS_WEIGHTS, _ArcLength, _Hodograph
 
-from conftest import CUBIC, random_rotation
+from conftest import CUBIC, SCENES_DIR, insert_knot, random_rotation
+
+PLANAR_SCENES = ("example1", "example2", "mul_0_1", "mul_1_1")
 
 
 def _curve(points, pieces=None):
@@ -33,6 +40,10 @@ def _curve(points, pieces=None):
 
 def _normalized(left_pts, right_pts, degree=3, pieces=2):
     return normalize_scene(Scene(_curve(left_pts), _curve(right_pts), degree, pieces))
+
+
+def _shipped(name):
+    return read_scene((SCENES_DIR / f"{name}.json").read_text()).scene
 
 
 # ------------------------------------------------------------- curvature
@@ -237,3 +248,116 @@ def test_plan_rejects_unsupported_degrees(mixed_scene):
 def test_plan_rejects_3d(scene_3d):
     with pytest.raises(InvalidArgument):
         plan(normalize_scene(scene_3d))
+
+
+# ------------------------------------------------------------ measurement
+
+GL_NODES, GL_WEIGHTS = leggauss(30)
+
+
+def _reference_arc(curve, t, panels=64):
+    """Arc length from 0 to t: the evaluator's |f'| integrated by 30-point
+    Gauss–Legendre on each of 64 panels per knot span."""
+    p = curve.degree
+    ends = [b for b in curve.knots.knots[p:-p] if b < t] + [t]
+    total = 0.0
+    for a, b in zip(ends[:-1], ends[1:]):
+        edges = np.linspace(a, b, panels + 1)
+        mid, half = (edges[1:] + edges[:-1])[:, None] / 2, np.diff(edges)[:, None] / 2
+        speed = np.linalg.norm(curve.derivative(mid + half * GL_NODES, 1), axis=-1)
+        total += float((half * speed * GL_WEIGHTS).sum())
+    return total
+
+
+def _reference_parameter(curve, s):
+    lo, hi = 0.0, 1.0
+    for _ in range(40):
+        mid = (lo + hi) / 2
+        if _reference_arc(curve, mid) < s:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def test_gauss_legendre_rule_matches_numpy():
+    x, w = leggauss(GAUSS_ORDER)
+    np.testing.assert_allclose(GAUSS_NODES, (x + 1.0) / 2.0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(GAUSS_WEIGHTS, w / 2.0, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+def test_arc_length_and_window_end_match_a_fine_reference(degree):
+    rng = np.random.default_rng(degree)
+    for pieces in (1, 2, 4):
+        kv = make_knot_vector(degree, pieces)
+        curve = BSplineCurve(kv, rng.normal(size=(kv.point_count, 2)))
+        arc = _ArcLength(_Hodograph(curve))
+        total = _reference_arc(curve, 1.0)
+        assert abs(arc.total - total) <= 1e-8 * total
+        for fraction in (0.1, 0.7):
+            s = fraction * arc.total
+            assert abs(arc.parameter_at(s) - _reference_parameter(curve, s)) <= 1e-9
+
+
+@pytest.mark.parametrize("name", PLANAR_SCENES)
+def test_plan_is_unchanged_by_knot_insertion(name):
+    scene = _shipped(name)
+    want = plan(normalize_scene(scene))
+    rng = np.random.default_rng(5)
+    for factor in (2, 3, 4):
+        curves = []
+        for curve in (scene.left, scene.right):
+            target = factor * len(curve.points)
+            while len(curve.points) < target:
+                u = float(rng.uniform(0.02, 0.98))
+                if u not in curve.knots.knots:
+                    curve = insert_knot(curve, u)
+            curves.append(curve)
+        assert plan(normalize_scene(Scene(*curves))) == want
+
+
+def test_low_degree_and_zero_speed_curves_count_no_spurious_inflections():
+    zigzag = BSplineCurve(make_knot_vector(1, 4), [(0, 0), (1, 1), (2, 0), (3, 1), (4, 0)])
+    arc = BSplineCurve(make_knot_vector(2, 2), [(0, 0), (1, 2), (3, 2), (4, 0)])
+    s_shape = BSplineCurve(make_knot_vector(2, 2), [(0, 0), (1, 1), (2, -1), (3, 0)])
+    assert count_inflections(zigzag, 4.0) == 0  # straight pieces are flat
+    assert count_inflections(arc, 4.0) == 0
+    assert count_inflections(s_shape, 3.0) == 1  # the sign flips at the knot
+    tp = plan(normalize_scene(Scene(arc, zigzag.transformed(zigzag.points + [6.0, 0.0]))))
+    assert (tp.left_inflections, tp.right_inflections) == (0, 0)
+    # ((2t-1)^2, (2t-1)^3): a cusp at t = 1/2 with x'y'' - y'x'' >= 0 throughout
+    cusp = BSplineCurve(CUBIC, [(1.0, -1.0), (-1 / 3, 1.0), (-1 / 3, -1.0), (1.0, 1.0)])
+    # zero speed at t = 0: the first two control points coincide
+    still = BSplineCurve(CUBIC, [(0.0, 0.0), (0.0, 0.0), (1.0, 1.0), (2.0, 0.0)])
+    assert signed_curvature(cusp, 0.5) == 0.0
+    assert signed_curvature(still, 0.0) == 0.0
+    for curve in (cusp, still):
+        total = _ArcLength(_Hodograph(curve)).total
+        for end in ("tail", "head"):
+            assert count_inflections(curve, 0.9 * total, end) == 0
+    # the cusp halves the arc length.  Near it s(t) - s(1/2) ~ (t - 1/2)^2, so
+    # rounding in s leaves t good only to ~sqrt(eps); s itself is exact
+    arc = _ArcLength(_Hodograph(cusp))
+    t = arc.parameter_at(arc.total / 2)
+    assert abs(t - 0.5) <= 1e-7
+    assert abs(_reference_arc(cusp, t) - arc.total / 2) <= 1e-12 * arc.total
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.sampled_from(PLANAR_SCENES),
+    st.floats(-12.0, 12.0),
+    st.floats(-np.pi, np.pi),
+    st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+)
+def test_counts_do_not_depend_on_units_or_placement(name, exponent, angle, shift):
+    scene = _shipped(name)
+    scale = 10.0**exponent
+    c, s = np.cos(angle), np.sin(angle)
+    g = RigidTransform(np.array([[c, -s], [s, c]]), scale * np.asarray(shift))
+    moved = Scene(*(curve.transformed(g.apply(scale * curve.points))
+                    for curve in (scene.left, scene.right)))
+    want, got = plan(normalize_scene(scene)), plan(normalize_scene(moved))
+    assert (got.left_inflections, got.right_inflections, got.window_clamped) == (
+        want.left_inflections, want.right_inflections, want.window_clamped)
