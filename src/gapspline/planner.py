@@ -164,24 +164,22 @@ class _ArcLength:
         self.hodograph = hodograph
         span = np.arange(len(hodograph.widths))
         start, size = np.zeros(len(span)), np.ones(len(span))
-        kept = []  # (span, starts, size, lengths) of pairs of halves
+        kept = []  # (span, start, size, length) of the panels that passed
         for level in range(MAX_HALVINGS):
             size = size / 2
             lengths = self._lengths(span, start, size)
-            halves, whole = lengths[:, :2], lengths[:, 2]
             if level == 0:
-                tol = ARC_TOLERANCE * whole.sum()
-            rough = np.abs(halves.sum(axis=1) - whole) > tol
-            if level == MAX_HALVINGS - 1:
-                rough[:] = False
-            starts = start[:, None] + size[:, None] * [0.0, 1.0]
-            kept.append((span[~rough], starts[~rough], size[~rough], halves[~rough]))
-            span, size = np.repeat(span[rough], 2), np.repeat(size[rough], 2)
-            start = starts[rough].ravel()
+                tol = ARC_TOLERANCE * lengths[:, 2].sum()
+            fine = ~(np.abs(lengths[:, 0] + lengths[:, 1] - lengths[:, 2]) > tol)  # NaN: no use halving
+            fine = np.repeat(fine | (level == MAX_HALVINGS - 1), 2)
+            # every panel becomes its two halves; the rough ones are halved again
+            start = (start[:, None] + size[:, None] * [0.0, 1.0]).ravel()
+            span, size, length = np.repeat(span, 2), np.repeat(size, 2), lengths[:, :2].ravel()
+            kept.append((span[fine], start[fine], size[fine], length[fine]))
+            span, start, size = span[~fine], start[~fine], size[~fine]
             if not len(span):
                 break
         span, start, size, length = (np.concatenate(part) for part in zip(*kept))
-        span, start, size, length = np.repeat(span, 2), start.ravel(), np.repeat(size, 2), length.ravel()
         order = np.argsort(span + start)  # start < 1
         self.panels = span[order], start[order], size[order]
         self.cumulative = np.concatenate(([0.0], np.cumsum(length[order])))
@@ -250,6 +248,8 @@ def _count_inflections(curve: BSplineCurve, window: float, end: str):
     hodograph = _Hodograph(curve)
     arc = _ArcLength(hodograph)
     total = arc.total
+    if not np.isfinite(total):  # coordinates near the float range overflow
+        raise InvalidArgument(f"curve arc length is not finite, got {total}")
     clamped = window > total
     length = min(window, total)
     if length == total:

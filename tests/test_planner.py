@@ -104,6 +104,12 @@ def test_count_rejects_bad_arguments():
         count_inflections(s, 1.0, end="middle")
 
 
+def test_count_rejects_a_curve_whose_length_overflows():
+    s = _curve(np.array([(0.0, 0.0), (1.0, 2.0), (2.0, -2.0), (3.0, 0.0)]) * 1e307)
+    with np.errstate(all="ignore"), pytest.raises(InvalidArgument, match="not finite"):
+        count_inflections(s, 1e307)
+
+
 def test_count_is_rigid_motion_invariant(wiggle_scene):
     left = wiggle_scene.left
     base = count_inflections(left, 3.0, end="tail")
