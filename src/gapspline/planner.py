@@ -162,48 +162,56 @@ class _ArcLength:
 
     def __init__(self, hodograph: _Hodograph):
         self.hodograph = hodograph
-        span = np.arange(len(hodograph.widths))
-        start, size = np.zeros(len(span)), np.ones(len(span))
-        kept = []  # (span, start, size, length) of the panels that passed
-        for level in range(MAX_HALVINGS):
-            size = size / 2
-            lengths = self._lengths(span, start, size)
-            if level == 0:
+        # a panel's left end: its span's index plus its start in the span, a
+        # multiple of 2**-MAX_HALVINGS, so the sum is exact
+        left = np.arange(len(hodograph.widths), dtype=float)
+        kept = []  # (left, size, length) of the panels that passed
+        for level in range(1, MAX_HALVINGS + 1):
+            size = 0.5**level  # of the halves of this level's panels
+            lengths = self._lengths(left, size)
+            if level == 1:
                 tol = ARC_TOLERANCE * lengths[:, 2].sum()
-            fine = ~(np.abs(lengths[:, 0] + lengths[:, 1] - lengths[:, 2]) > tol)  # NaN: no use halving
-            fine = np.repeat(fine | (level == MAX_HALVINGS - 1), 2)
+            rough = np.abs(lengths[:, 0] + lengths[:, 1] - lengths[:, 2]) > tol  # NaN: no use halving
+            rough = np.repeat(rough & (level < MAX_HALVINGS), 2)
             # every panel becomes its two halves; the rough ones are halved again
-            start = (start[:, None] + size[:, None] * [0.0, 1.0]).ravel()
-            span, size, length = np.repeat(span, 2), np.repeat(size, 2), lengths[:, :2].ravel()
-            kept.append((span[fine], start[fine], size[fine], length[fine]))
-            span, start, size = span[~fine], start[~fine], size[~fine]
-            if not len(span):
+            left, length = (left[:, None] + [0.0, size]).ravel(), lengths[:, :2].ravel()
+            fine = ~rough
+            kept.append((left[fine], np.full(np.count_nonzero(fine), size), length[fine]))
+            left = left[rough]
+            if not len(left):
                 break
-        span, start, size, length = (np.concatenate(part) for part in zip(*kept))
-        order = np.argsort(span + start)  # start < 1
-        self.panels = span[order], start[order], size[order]
+        left, size, length = (np.concatenate(part) for part in zip(*kept))
+        order = np.argsort(left)
+        self.panels = left[order], size[order]
         self.cumulative = np.concatenate(([0.0], np.cumsum(length[order])))
         self.total = float(self.cumulative[-1])
 
-    def _lengths(self, span, start, size) -> np.ndarray:
-        """Gauss–Legendre arc lengths of the panels [start, start + size] of
-        the spans (column 0), of the panels after them (1), and of the two
+    def _lengths(self, left, size: float) -> np.ndarray:
+        """Gauss–Legendre arc lengths of the panels of the given size at
+        ``left`` (column 0), of the panels after them (1), and of the two
         together (2)."""
-        x = start[:, None] + size[:, None] * SPLIT_NODES
+        span = left.astype(int)
+        x = (left - span)[:, None] + size * SPLIT_NODES
         speeds = self.hodograph.speeds(np.repeat(span, SPLIT_NODES.size), x.ravel())
         rules = speeds.reshape(len(span), 3, -1) @ GAUSS_WEIGHTS
         return (self.hodograph.widths[span] * size)[:, None] * rules * [1.0, 1.0, 2.0]
 
     def parameter_at(self, s: float) -> float:
-        """t at which the arc length from t = 0 is s, for 0 < s < total.
+        """t at which the arc length from t = 0 is s: 0 for s <= 0 and 1 for
+        s >= total, as when total - s rounds to total.
 
         Newton's method on the arc length inside the panel holding s, by the
         panel's Gauss–Legendre rule scaled to [start, start + u]; a step that
         leaves the bracket, as at a zero-speed point, bisects it instead.
         """
+        if s <= 0.0:
+            return 0.0
+        if s >= self.total:
+            return 1.0
         k = int(np.searchsorted(self.cumulative, s, side="right")) - 1
-        span, start, size = (int(self.panels[0][k]), float(self.panels[1][k]),
-                             float(self.panels[2][k]))
+        left, size = float(self.panels[0][k]), float(self.panels[1][k])
+        span = int(left)
+        start = left - span
         width = float(self.hodograph.widths[span])
         rest = s - float(self.cumulative[k])
         spans = np.full(END_NODES.shape, span)

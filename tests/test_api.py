@@ -38,8 +38,8 @@ def test_every_traced_name_resolves():
 
 
 def test_import_leaves_numpy_polynomial_unloaded():
-    # the planner's Gauss–Legendre rule comes from numpy.linalg, which numpy
-    # loads anyway; numpy.polynomial would cost import time and memory
+    # importing numpy.polynomial would add to import time and peak RSS, and
+    # the planner computes its Gauss–Legendre rule without it
     src = str(Path(gapspline.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = ("import sys, gapspline, gapspline.cli; "

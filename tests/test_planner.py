@@ -110,6 +110,19 @@ def test_count_rejects_a_curve_whose_length_overflows():
         count_inflections(s, 1e307)
 
 
+def test_count_over_a_window_below_the_lengths_rounding():
+    # the tail window starts at total - 1e-20, which rounds to total
+    s = _curve([(0.0, 0.0), (1.0, 2.0), (2.0, -2.0), (3.0, 0.0)])
+    assert count_inflections(s, 1e-20, end="tail") == 0
+    assert count_inflections(s, 1e-20, end="head") == 0
+    arc = _ArcLength(_Hodograph(s))
+    assert (arc.parameter_at(0.0), arc.parameter_at(arc.total)) == (0.0, 1.0)
+    # a gap of 1e-17 at the origin is a valid scene
+    tiny = plan(_normalized([(-3.0, 0.0), (-2.0, 2.0), (-1.0, -2.0), (0.0, 0.0)],
+                            [(1e-17, 0.0), (1.0, 2.0), (2.0, -2.0), (3.0, 0.0)], pieces=1))
+    assert (tiny.left_inflections, tiny.right_inflections) == (0, 0)
+
+
 def test_count_is_rigid_motion_invariant(wiggle_scene):
     left = wiggle_scene.left
     base = count_inflections(left, 3.0, end="tail")
