@@ -6,13 +6,7 @@ Euclidean difference invariants, in 2D or 3D.  See the README for the
 Lagrangian DSL and the command-line interface.
 """
 
-from .bspline import (
-    BSplineCurve,
-    KnotVector,
-    basis,
-    basis_derivative,
-    make_knot_vector,
-)
+from .bspline import BSplineCurve, KnotVector, make_knot_vector
 from .errors import (
     BalanceError,
     ConvergenceFailure,
@@ -45,13 +39,11 @@ from .formats import (
     curve_payload,
     emit_json,
     format_float,
-    read_csv,
     read_scene,
     read_solution,
     solution_curve_from_document,
     transform_payload,
     write_csv,
-    write_scene,
     write_solution,
 )
 from .rigid import RigidTransform, normalize_2d, normalize_3d
@@ -68,15 +60,12 @@ from .system import (
     normalize_scene,
 )
 from .svg import render_svg
-from .variational import el_gradient, shift_difference
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BSplineCurve",
     "KnotVector",
-    "basis",
-    "basis_derivative",
     "make_knot_vector",
     "GapsplineError",
     "InvalidArgument",
@@ -93,8 +82,6 @@ __all__ = [
     "validate_lagrangian",
     "eval_lagrangian",
     "grad_lagrangian",
-    "shift_difference",
-    "el_gradient",
     "RigidTransform",
     "normalize_2d",
     "normalize_3d",
@@ -121,14 +108,12 @@ __all__ = [
     "target_inflections",
     "SceneDocument",
     "read_scene",
-    "write_scene",
     "read_solution",
     "write_solution",
     "solution_curve_from_document",
     "curve_payload",
     "transform_payload",
     "write_csv",
-    "read_csv",
     "emit_json",
     "format_float",
     "render_svg",

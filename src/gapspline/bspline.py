@@ -1,17 +1,15 @@
 """Clamped B-spline curves on [0, 1] with a single-span Cox–de Boor evaluator.
 
 One triangle (Piegl & Tiller, *The NURBS Book*, A2.2) builds the degree+1
-basis functions not zero on t's knot span from the 2·degree knots around it:
-a tuple slice found by bisection for a float t, rows gathered by
-``np.searchsorted`` for an array of t.  The arithmetic is the same text and
-numpy rounds elementwise like Python, so both give the same bits.  The final
-non-empty span is closed, so a curve interpolates its last control point at
-t = 1.  Derivatives evaluate the hodograph, the degree-(k-1) curve with
-control points k (P[i+1] - P[i]) / (t[i+k+1] - t[i+1]) on the knots without
-the two end ones (de Boor, *A Practical Guide to Splines*, ch. X).
+basis functions not zero on t's knot span from the 2·degree knots around it,
+rows gathered by ``np.searchsorted`` for every t at once; a float t is an
+array of one.  The final non-empty span is closed, so a curve interpolates
+its last control point at t = 1.  Derivatives evaluate the hodograph, the
+degree-(k-1) curve with control points k (P[i+1] - P[i]) / (t[i+k+1] - t[i+1])
+on the knots without the two end ones (de Boor, *A Practical Guide to Splines*,
+ch. X).
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +59,7 @@ class KnotVector:
         interior = kn[k + 1 : -k - 1]
         if any(a >= b for a, b in zip(interior, interior[1:])):
             raise InvalidArgument("interior knots must be strictly increasing")
-        if any(t <= 0.0 or t >= 1.0 for t in interior):
+        if any(not 0.0 < t < 1.0 for t in interior):  # NaN fails too
             raise InvalidArgument("interior knots must lie strictly inside (0, 1)")
 
     @property
@@ -76,8 +74,8 @@ class KnotVector:
 
 def _triangle(kn, degree: int, t) -> list:
     """The degree+1 basis values not zero on t's span from the 2·degree knots
-    kn around it, kn[degree-1] <= t < kn[degree] (or t = 1 on the last span):
-    a tuple of floats for a float t, rows of arrays as long as an array t."""
+    kn around it, kn[degree-1] <= t < kn[degree] (or t = 1 on the last span),
+    as rows of arrays as long as t."""
     values = [1.0]
     for r in range(1, degree + 1):
         row = []
@@ -127,26 +125,6 @@ def _evaluate(knots: tuple[float, ...], degree: int, points: np.ndarray, t, orde
     for j, value in enumerate(_triangle(kn, degree, flat)):
         total = total + np.reshape(value, (-1, 1)) * points[span - degree + j]
     return total.reshape(shape)
-
-
-def basis(kv: KnotVector, i: int, t: float) -> float:
-    """Value of the i-th (0-based) degree-kv.degree basis function at t."""
-    if not 0 <= i < kv.point_count:
-        raise InvalidArgument(f"basis index {i} out of range [0, {kv.point_count})")
-    if not 0.0 <= t <= 1.0:
-        raise InvalidArgument(f"parameter {t} outside [0, 1]")
-    k = kv.degree
-    span = min(bisect_right(kv.knots, t), kv.point_count) - 1  # t = 1: last span
-    values = _triangle(kv.knots[span - k + 1 : span + k + 1], k, t)
-    return values[i - span + k] if span - k <= i <= span else 0.0
-
-
-def basis_derivative(kv: KnotVector, i: int, t: float, order: int = 1) -> float:
-    """order-th derivative of the i-th basis function at t (left limit at t=1)."""
-    if not 0 <= i < kv.point_count:
-        raise InvalidArgument(f"basis index {i} out of range [0, {kv.point_count})")
-    unit = np.eye(kv.point_count)[:, i : i + 1]
-    return float(_evaluate(kv.knots, kv.degree, unit, t, order)[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -162,23 +162,6 @@ def transform_payload(transform: RigidTransform) -> dict:
     }
 
 
-def write_scene(doc: SceneDocument) -> str:
-    payload = {
-        "version": SCENE_VERSION,
-        "dim": doc.scene.dim,
-        "left": curve_payload(doc.scene.left),
-        "right": curve_payload(doc.scene.right),
-    }
-    if doc.has_topology:
-        payload["solution"] = {
-            "degree": doc.scene.solution_degree,
-            "pieces": doc.scene.solution_pieces,
-        }
-    if doc.lagrangian_text is not None:
-        payload["lagrangian"] = doc.lagrangian_text
-    return emit_json(payload) + "\n"
-
-
 def write_solution(
     scene: Scene,
     solution: Solution,
@@ -242,17 +225,3 @@ def write_csv(samples: np.ndarray, ts: np.ndarray) -> str:
     for t, p in zip(ts, samples):
         rows.append(",".join(format_float(v) for v in (t, *p)))
     return "\n".join(rows) + "\n"
-
-
-def read_csv(text: str) -> tuple[list[str], np.ndarray]:
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines:
-        raise FormatError("empty CSV")
-    header = lines[0].split(",")
-    rows = [ln.split(",") for ln in lines[1:]]
-    if any(len(row) != len(header) for row in rows):
-        raise FormatError(f"every CSV row must have {len(header)} fields, as the header does")
-    try:
-        return header, np.array([[float(v) for v in row] for row in rows])
-    except ValueError as exc:
-        raise FormatError(f"CSV data is not numeric: {exc}") from exc

@@ -330,7 +330,7 @@ def plan(normalized: NormalizedScene, degree_request: int = 3) -> TopologyPlan:
 
     The measurement window is always the gap length ``normalized.gap``, the
     only scale the normalized scene carries; a window longer than an input
-    curve is clamped to it, with a warning and ``window_clamped`` set.  The
+    curve is clamped to it, and ``window_clamped`` says so.  The
     target inflection count is n = floor((n1 + n2) / 2).  n <= 1 with
     same-sign slopes needs no extra point; otherwise one point is inserted
     and tied per the case.  n > 2 would need more inserted points than this
@@ -345,11 +345,6 @@ def plan(normalized: NormalizedScene, degree_request: int = 3) -> TopologyPlan:
     n1, clamp1 = _count_inflections(normalized.left, normalized.gap, "tail")
     n2, clamp2 = _count_inflections(normalized.right, normalized.gap, "head")
     clamped = clamp1 or clamp2
-    if clamped:
-        warnings.warn(
-            "inflection window exceeds an input curve's arc length; clamped",
-            stacklevel=2,
-        )
     n = target_inflections(n1, n2)
     case = classify_case(normalized)
 

@@ -33,6 +33,9 @@ def render_svg(
     curves = [(left, "input", "#000000"), (right, "input", "#000000")]
     if solution is not None:
         curves.append((solution, "solution", "#cc2222"))
+    # each curve is sampled once, whatever the number of projections
+    curves = [(curve.sample(CURVE_SAMPLES), curve.points, cls, color)
+              for curve, cls, color in curves]
 
     if left.dim == 2:
         projections = [((0, 1), None)]
@@ -46,9 +49,9 @@ def render_svg(
         geo = []
         lo = np.array([np.inf, np.inf])
         hi = -lo
-        for curve, cls, color in curves:
-            samples = curve.sample(CURVE_SAMPLES)[:, list(axes)] * (1.0, -1.0)
-            polygon = curve.points[:, list(axes)] * (1.0, -1.0)
+        for sampled, points, cls, color in curves:
+            samples = sampled[:, list(axes)] * (1.0, -1.0)
+            polygon = points[:, list(axes)] * (1.0, -1.0)
             geo.append([samples, polygon, cls, color])
             for pts in (samples, polygon):
                 lo = np.minimum(lo, pts.min(axis=0))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gapspline.bspline import BSplineCurve, KnotVector, make_knot_vector
+from gapspline.formats import SCENE_VERSION, SceneDocument, curve_payload, emit_json
 from gapspline.rigid import RigidTransform
 from gapspline.system import Scene
 
@@ -103,3 +104,19 @@ def insert_knot(curve, u):
             a = (u - kn[i]) / (kn[i + k] - kn[i])
             q.append(a * p[i] + (1.0 - a) * p[i - 1])
     return BSplineCurve(KnotVector(kn[: s + 1] + (u,) + kn[s + 1 :], k), np.array(q))
+
+
+def write_scene(doc: SceneDocument) -> str:
+    """Scene-file text that ``read_scene`` parses back to ``doc``."""
+    scene = doc.scene
+    payload = {
+        "version": SCENE_VERSION,
+        "dim": scene.dim,
+        "left": curve_payload(scene.left),
+        "right": curve_payload(scene.right),
+    }
+    if doc.has_topology:
+        payload["solution"] = {"degree": scene.solution_degree, "pieces": scene.solution_pieces}
+    if doc.lagrangian_text is not None:
+        payload["lagrangian"] = doc.lagrangian_text
+    return emit_json(payload) + "\n"

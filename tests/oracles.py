@@ -1,19 +1,102 @@
 """Reference routes that do not share the library's way of computing.
 
-``level_adjoint_gradient`` takes the leaf partials from
-:func:`gapspline.variational.leaf_partial_sequences`; the library's route
-pulls them back through the leaf maps' constant derivatives, the oracle
-through the difference recursion.  ``compile_jet`` is the Lagrangian's jet
-as nested closures over the leaf values, with exact derivatives of each dot
-and triple product and the product rule, where the library expands the
-Lagrangian into polynomial coefficients in the unknowns.
+``el_gradient`` is the paper's summation-by-parts operator form of the
+Euler–Lagrange gradient, and ``level_adjoint_gradient`` backpropagates
+through the difference recursion; both take the leaf partials from
+``leaf_partial_sequences``, where the library's route pulls them back
+through the leaf maps' constant derivatives.  ``compile_jet`` is the
+Lagrangian's jet as nested closures over the leaf values, with exact
+derivatives of each dot and triple product and the product rule, where the
+library expands the Lagrangian into polynomial coefficients in the unknowns.
+``basis`` is a convenience, not a second route: it reads one B-spline basis
+function off the library's evaluator.
 """
 
 import numpy as np
 
+from gapspline.bspline import BSplineCurve, KnotVector
 from gapspline.errors import DslTypeError, InvalidArgument
-from gapspline.lagrangian import Diff, Dot, Expr, Number, Product, Sum, Trip
-from gapspline.variational import leaf_partial_sequences
+from gapspline.lagrangian import (
+    Diff,
+    Dot,
+    Expr,
+    Number,
+    Product,
+    Sum,
+    Trip,
+    as_points,
+    first_order,
+    leaf_maps,
+)
+
+
+def basis(kv: KnotVector, i: int, t, order: int = 0):
+    """order-th derivative of the i-th basis function at t, or at each of an
+    array of t: the x of the curve whose control points are zero except
+    P[i, 0] = 1 (left limit at t = 1)."""
+    unit = np.zeros((kv.point_count, 2))
+    unit[i, 0] = 1.0
+    return BSplineCurve(kv, unit).derivative(t, order).T[0]
+
+
+def shift_difference(values: np.ndarray, power: int = 1, inverse: bool = False) -> np.ndarray:
+    """(S - id)^power of a sequence, window preserving.
+
+    One forward application is out[j] = v[j+1] - v[j]; with ``inverse``,
+    (S^-1 - id): out[j] = v[j-1] - v[j].  The output covers the same index
+    window as the input; reads that fall off the window are zero (the
+    sequence is treated as finitely supported).  power 0 is the identity.
+    """
+    v = np.asarray(values, dtype=float)
+    if v.ndim not in (1, 2):
+        raise InvalidArgument(f"expected a sequence of scalars or vectors, got ndim={v.ndim}")
+    if power < 0:
+        raise InvalidArgument(f"power must be >= 0, got {power}")
+    v = v.copy()
+    for _ in range(power):
+        out = -v
+        if inverse:
+            out[1:] += v[:-1]
+        else:
+            out[:-1] += v[1:]
+        v = out
+    return v
+
+
+def leaf_partial_sequences(expr: Expr, points, first_index: int = 1) -> dict[int, np.ndarray]:
+    """Per order l, the sequence i -> dL/dI_{i,l} on the points' window.
+
+    The leaf values come from ``leaf_maps`` with no parameters.  Entries are
+    zero wherever the Lagrangian has no matching leaf; keys are the orders
+    that occur.
+    """
+    points = as_points(points)
+    n, dim = points.shape
+    slot, values, _ = leaf_maps(expr, points, np.zeros((0, n, dim)), first_index)
+    size = len(slot) * dim  # one parameter per coordinate of each leaf
+    bars = first_order(expr, slot, values, np.eye(size).reshape(len(slot), dim, size))[1]
+    bars = bars.reshape(-1, dim)
+    out: dict[int, np.ndarray] = {}
+    for (order, index), bar in zip(slot, bars):
+        out.setdefault(order, np.zeros((n, dim)))[index - first_index] = bar
+    return out
+
+
+def el_gradient(expr: Expr, points, first_index: int = 1) -> np.ndarray:
+    """Gradient rows dL/dq_i for every point, (n, dim), by the operator form
+
+        dL/dq_i = sum_l (S^-1 - id)^l [ dL/dI_{.,l} ]_i
+
+    where S is the index shift.  Row j is index ``first_index + j``.  Each
+    order-l partial sequence gets l window-preserving applications of
+    (S^-1 - id); the results sum to the gradient, which equals
+    ``grad_lagrangian``'s by summation by parts.
+    """
+    points = as_points(points)
+    total = np.zeros(points.shape)
+    for order, seq in leaf_partial_sequences(expr, points, first_index).items():
+        total += shift_difference(seq, power=order, inverse=True)
+    return total
 
 
 def level_adjoint_gradient(expr, points, free, first_index=1) -> np.ndarray:

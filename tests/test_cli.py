@@ -1,9 +1,11 @@
 """End-to-end command-line checks, run in process via main(argv), and once as `python -m`."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +13,10 @@ import pytest
 
 import gapspline
 import gapspline.cli
-from gapspline import OrientationFailure, SceneDocument, read_csv, read_solution, write_scene
+from gapspline import OrientationFailure, SceneDocument, read_solution
 from gapspline.cli import main
 
-from conftest import SCENES_DIR, L_EX1
+from conftest import SCENES_DIR, L_EX1, write_scene
 
 EX1 = str(SCENES_DIR / "example1.json")
 EX3 = str(SCENES_DIR / "example3.json")
@@ -65,7 +67,7 @@ def test_solve_lagrangian_flag_overrides_file(tmp_path):
     assert read_solution(out.read_text())["lagrangian"] == L_EX1
 
 
-def test_solve_autoplan_echoes_plan(tmp_path, straight_scene, recwarn):
+def test_solve_autoplan_echoes_plan(tmp_path, straight_scene):
     scene = tmp_path / "straight.json"
     scene.write_text(write_scene(SceneDocument(straight_scene, False, L_EX1)))
     code, out = _solve_to(tmp_path, str(scene))
@@ -356,6 +358,23 @@ def test_overflowing_number_literal_exits_2_with_one_line(tmp_path, capsys):
     assert "byte offset 0" in err
 
 
+@pytest.mark.parametrize(
+    "command", [["eval", "--curve", "left"], ["render"], ["plan"], ["solve"]],
+    ids=lambda c: c[0])
+def test_nan_knot_exits_2_with_one_line(tmp_path, capsys, command):
+    # json reads the NaN literal, and every ordering test is false for NaN
+    doc = json.loads(Path(EX1).read_text())
+    doc["left"]["knots"] = [0, 0, 0, 0, float("nan"), 1, 1, 1, 1]
+    doc["left"]["points"].append([5, 3])
+    scene = tmp_path / "nan.json"
+    scene.write_text(json.dumps(doc))
+    assert main([command[0], str(scene), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: left.knots invalid: interior knots must lie strictly inside (0, 1)\n")
+
+
 # ------------------------------------------------------------------- eval
 
 
@@ -363,8 +382,9 @@ def test_eval_solution_curve(tmp_path):
     _, sol = _solve_to(tmp_path)
     csv_path = tmp_path / "samples.csv"
     assert main(["eval", str(sol), "--count", "5", "-o", str(csv_path)]) == 0
-    header, data = read_csv(csv_path.read_text())
-    assert header == ["t", "x", "y"]
+    text = csv_path.read_text()
+    assert text.splitlines()[0] == "t,x,y"
+    data = np.loadtxt(text.splitlines(), delimiter=",", skiprows=1)
     assert data.shape == (5, 3)
     np.testing.assert_allclose(data[0, 1:], [4.0, 3.0], atol=1e-9)
     np.testing.assert_allclose(data[-1, 1:], [7.0, 2.0], atol=1e-9)
@@ -372,7 +392,7 @@ def test_eval_solution_curve(tmp_path):
 
 def test_eval_input_curves(capsys):
     assert main(["eval", EX1, "--curve", "left", "--count", "3"]) == 0
-    header, data = read_csv(capsys.readouterr().out)
+    data = np.loadtxt(capsys.readouterr().out.splitlines(), delimiter=",", skiprows=1)
     assert data.shape == (3, 3)
     np.testing.assert_allclose(data[1, 0], 0.5)
 
@@ -463,6 +483,43 @@ def test_plan_output_of_the_planar_shipped_scenes_is_pinned(name, capsys):
         '  "window_clamped": false\n'
         "}\n"
     )
+
+
+# SHA-256 of `render` on every shipped scene
+PINNED_RENDERS = {
+    "example1": "9cf700d37660904a98f1851878de5446307bdaaf9e9806875fe60c45d3739cb5",
+    "example2": "9cf700d37660904a98f1851878de5446307bdaaf9e9806875fe60c45d3739cb5",
+    "example3": "9b84182ab810701f5446c1c02293695477edc03f49f9adcf9ee99a8d22faec49",
+    "example4": "251adff1ab952a4401e977762d3820337cef9a33fbbe2d2cf39c0db833e8973c",
+    "mul_0_1": "6cd362345938552a14c4021c45e4ee91f2cf684dcc385b73f4abf53f53750058",
+    "mul_1_1": "67fcc0cd070b1f319e3dd475394731281e7013fd5691065fad5e8ef7b8e7ff4d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RENDERS))
+def test_render_output_of_the_shipped_scenes_is_pinned(name, capsys):
+    assert main(["render", str(SCENES_DIR / f"{name}.json")]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == PINNED_RENDERS[name]
+
+
+def test_window_clamp_is_reported_in_the_plan_only(tmp_path, capsys):
+    # example1 with its right curve moved 100 along x: the gap window is
+    # longer than either curve
+    doc = json.loads(Path(EX1).read_text())
+    doc.pop("solution")
+    doc["right"]["points"] = [[x + 100.0, y] for x, y in doc["right"]["points"]]
+    scene = tmp_path / "far.json"
+    scene.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["plan", str(scene)]) == 0
+        plan_out = capsys.readouterr()
+        code, out = _solve_to(tmp_path, str(scene))
+        solve_err = capsys.readouterr().err
+    assert (plan_out.err, solve_err) == ("", "")
+    assert json.loads(plan_out.out)["window_clamped"] is True
+    assert code == 0 and read_solution(out.read_text())["plan"]["window_clamped"] is True
 
 
 def test_plan_quartic_request(capsys):

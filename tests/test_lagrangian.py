@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import L_EX1, L_EX2, L_EX3, L_PLANNER, random_rotation
-from oracles import _cross, level_adjoint_gradient
+from oracles import _cross, el_gradient, level_adjoint_gradient
 from gapspline.bspline import BSplineCurve, make_knot_vector
 from gapspline import lagrangian
 from gapspline.errors import DslSyntaxError, DslTypeError, InvalidArgument
@@ -33,7 +33,6 @@ from gapspline.lagrangian import (
     validate_lagrangian,
 )
 from gapspline.system import Scene, build_layout, normalize_scene
-from gapspline.variational import el_gradient
 
 EX1_LEFT = np.array([(0.0, 0.0), (1.0, 4.0), (2.0, 1.0), (4.0, 3.0)])
 

@@ -185,7 +185,7 @@ def test_classify_rejects_3d(scene_3d):
 
 def test_plan_baseline_scene(straight_scene):
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("error")  # the clamp is reported in the plan only
         tp = plan(normalize_scene(straight_scene))
     assert tp == TopologyPlan(0, "Baseline", "OnePieceCubic", 3, 1, (), 0, 0, True)
 
@@ -240,7 +240,8 @@ def test_plan_gap_override_and_clamp_echo(wiggle_scene):
     right = wiggle_scene.right.transformed(wiggle_scene.right.points + [2.0, 0.0])
     normalized = normalize_scene(Scene(wiggle_scene.left, right, 3, 2))
     assert normalized.gap == 5.0
-    with pytest.warns(UserWarning, match="clamped"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the plan's field is the one channel
         tp = plan(normalized)
     assert tp.window_clamped
     assert tp.realization == "OnePieceCubic"

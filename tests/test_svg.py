@@ -35,6 +35,22 @@ def test_render_3d_draws_two_panels():
     assert svg.count('class="curve input"') == 4
 
 
+def test_render_samples_each_curve_once_whatever_the_panels(monkeypatch):
+    calls = []
+    sample = BSplineCurve.sample
+
+    def counted(curve, count):
+        calls.append(count)
+        return sample(curve, count)
+
+    monkeypatch.setattr(BSplineCurve, "sample", counted)
+    for points_l, points_r in ((LEFT_2D, RIGHT_2D), (LEFT_3D, RIGHT_3D)):
+        calls.clear()
+        left, right = _pair(points_l, points_r)
+        render_svg(left, right, left)
+        assert len(calls) == 3
+
+
 def test_render_flips_y_axis():
     # image coordinates grow downward: a control point with positive y must
     # appear with negative y in the path data

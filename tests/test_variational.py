@@ -3,15 +3,10 @@
 import numpy as np
 import pytest
 
-from gapspline import (
-    el_gradient,
-    grad_lagrangian,
-    parse_lagrangian,
-    shift_difference,
-)
+from gapspline import grad_lagrangian, parse_lagrangian
 
 from conftest import L_EX1, L_EX2, L_EX3, L_PLANNER
-from oracles import level_adjoint_gradient
+from oracles import el_gradient, level_adjoint_gradient, shift_difference
 
 
 def test_shift_difference_forward_example():
