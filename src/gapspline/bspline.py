@@ -67,10 +67,6 @@ class KnotVector:
         """Number of control points a curve on this vector must have."""
         return len(self.knots) - self.degree - 1
 
-    @property
-    def pieces(self) -> int:
-        return len(self.knots) - 2 * self.degree - 1
-
 
 def _triangle(kn, degree: int, t) -> list:
     """The degree+1 basis values not zero on t's span from the 2·degree knots
@@ -101,6 +97,14 @@ def parameter_array(t) -> np.ndarray:
     return ts
 
 
+def hodograph(knots: tuple[float, ...], degree: int, points: np.ndarray) -> tuple:
+    """(knots, degree, points) of the derivative of the curve with these
+    control points: degree (P[i+1] - P[i]) / (t[i+degree+1] - t[i+1]) on the
+    knots without the two end ones."""
+    den = np.subtract(knots[degree + 1 : -1], knots[1 : len(points)])
+    return knots[1:-1], degree - 1, degree * np.diff(points, axis=0) / den[:, None]
+
+
 def _evaluate(knots: tuple[float, ...], degree: int, points: np.ndarray, t, order: int):
     """order-th derivative at t, or at each of an array of t, of the curve with
     these control points.  Each value sums its degree+1 terms in a fixed order,
@@ -113,9 +117,7 @@ def _evaluate(knots: tuple[float, ...], degree: int, points: np.ndarray, t, orde
     if order > degree:
         return np.zeros(shape)
     for _ in range(order):
-        den = np.subtract(knots[degree + 1 : -1], knots[1 : len(points)])
-        points = degree * np.diff(points, axis=0) / den[:, None]
-        knots, degree = knots[1:-1], degree - 1
+        knots, degree, points = hodograph(knots, degree, points)
     flat = ts.ravel()
     # t = 1 takes the last non-empty span
     span = np.minimum(np.searchsorted(knots, flat, side="right"), len(points)) - 1
@@ -163,14 +165,6 @@ class BSplineCurve:
     def derivative(self, t, order: int = 1) -> np.ndarray:
         """order-th parametric derivative at t or an array of t (left limit at t = 1)."""
         return _evaluate(self.knots.knots, self.degree, self.points, t, order)
-
-    def end_tangents(self) -> tuple[np.ndarray, np.ndarray]:
-        """Control-polygon legs (p1 - p0, p_last - p_second_last).
-
-        For a clamped curve these are parallel to the true end derivatives.
-        """
-        p = self.points
-        return p[1] - p[0], p[-1] - p[-2]
 
     def sample(self, count: int) -> np.ndarray:
         """(count, dim) polyline at uniform parameters including both ends."""

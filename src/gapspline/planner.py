@@ -8,9 +8,10 @@ point (as a two-piece cubic or a one-piece quartic) with a coordinate tie
 that forces the extra point to spend its budget on inflections rather than
 drift.  More than one extra point is out of scope and reported as such.
 
-Each curve is read through one evaluator call: f' at p nodes on every knot
-span of a degree-p curve, turned into the span's polynomial in
-x = (t - a) / h by a fixed Vandermonde inverse.  The speed, f'' and the
+Each curve is read from its control points, with no evaluator call: f' on
+every knot span [a, a + h] of a degree-p curve is a polynomial in
+x = (t - a) / h, whose coefficients come from de Boor's algorithm on the
+hodograph run with x kept symbolic.  The speed, f'' and the
 signed curvature come from those polynomials, arc length from adaptive
 Gauss–Legendre quadrature of |f'|, and the window's end parameter from
 Newton's method on the arc length (Guenter & Parent, "Computing the arc
@@ -23,11 +24,10 @@ length of the control polygon.
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .bspline import BSplineCurve, parameter_array
+from .bspline import BSplineCurve, hodograph, parameter_array
 from .errors import InvalidArgument, UnsupportedComplexity
 from .system import CoordinateTie, NormalizedScene, case1_tie, case2_tie
 
@@ -88,42 +88,39 @@ SPLIT_NODES = np.concatenate([GAUSS_NODES, 1.0 + GAUSS_NODES, 2.0 * GAUSS_NODES]
 END_NODES = np.append(GAUSS_NODES, 1.0)
 
 
-@lru_cache(maxsize=16)
-def _fit(count: int) -> tuple[np.ndarray, np.ndarray]:
-    """count Chebyshev nodes in (0, 1) and the inverse of their Vandermonde
-    matrix, which maps values at the nodes to monomial coefficients: its
-    column j holds the coefficients of the j-th Lagrange polynomial."""
-    nodes = (1.0 - np.cos((2 * np.arange(count) + 1) * np.pi / (2 * count))) / 2.0
-    inverse = np.empty((count, count))
-    for j in range(count):
-        others = np.delete(nodes, j)
-        column = np.ones(1)
-        for root in others:
-            column = np.convolve(column, [-root, 1.0])
-        inverse[:, j] = column / np.prod(nodes[j] - others)
-    nodes.flags.writeable = inverse.flags.writeable = False
-    return nodes, inverse
-
-
 class _Hodograph:
-    """f' of a planar curve as one polynomial per knot span, fitted from one
-    evaluator call.
+    """f' of a planar curve as one polynomial per knot span, read from the
+    control points.
 
     On the span [a, a + h] of a degree-p curve, f' is a polynomial of degree
-    p - 1 in x = (t - a) / h, so its p coefficients follow from its values at
-    p nodes, and f'' is that polynomial's derivative over h.
+    p - 1 in x = (t - a) / h.  De Boor's algorithm on the hodograph at
+    t = a + h x, run on every span at once with x kept symbolic, gives its
+    coefficients: each point carries its coefficients of x**0 ... x**(p-1),
+    and each affine step d[m-1] + alpha (d[m] - d[m-1]), alpha = c0 + c1 x,
+    is a scalar multiply plus a one-place shift.  f'' is that polynomial's
+    derivative over h.
     """
 
     def __init__(self, curve: BSplineCurve):
         p = curve.degree
-        knots = curve.knots.knots
-        self.breaks = np.array(knots[p : len(knots) - p])  # clamped: the distinct knots
+        knots, q, points = hodograph(curve.knots.knots, p, curve.points)
+        knots = np.asarray(knots)
+        self.breaks = knots[q : len(knots) - q]  # clamped: the distinct knots
         self.widths = np.diff(self.breaks)
-        nodes, inverse = _fit(p)
-        values = curve.derivative(self.breaks[:-1] + self.widths * nodes[:, None], 1)
-        coef = (inverse @ values.reshape(p, -1)).reshape(values.shape)
+        span = np.arange(len(self.widths))[:, None]
+        # d[i, m, k]: coefficient of x**k of de Boor point m on span i
+        d = np.zeros((len(self.widths), p, p, curve.dim))
+        d[:, :, 0] = points[span + np.arange(p)]
+        for r in range(1, p):
+            lo = knots[span + np.arange(r, p)]
+            den = knots[span + np.arange(p, 2 * p - r)] - lo
+            c0 = ((self.breaks[:-1, None] - lo) / den)[:, :, None, None]
+            c1 = (self.widths[:, None] / den)[:, :, None, None]
+            step = d[:, r:] - d[:, r - 1 : -1]
+            d[:, r:] = d[:, r - 1 : -1] + c0 * step
+            d[:, r:, 1:] += c1 * step[:, :, :-1]
         # row i: the x and y coefficients of x**0, x**1, ... on span i
-        self.rows = np.ascontiguousarray(coef.transpose(1, 0, 2)).reshape(len(self.widths), -1)
+        self.rows = d[:, -1].reshape(len(self.widths), -1)
         # the control polygon is at least as long as the curve
         legs = np.diff(curve.points, axis=0)
         self.speed_floor = STILL_SPEED * np.sqrt((legs * legs).sum(axis=1)).sum()

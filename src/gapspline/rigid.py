@@ -41,10 +41,6 @@ class RigidTransform:
         object.__setattr__(self, "rotation", R)
         object.__setattr__(self, "translation", t)
 
-    @property
-    def dim(self) -> int:
-        return self.rotation.shape[0]
-
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Transform one point (dim,) or a stack (..., dim)."""
         p = np.asarray(points, dtype=float)
@@ -53,17 +49,6 @@ class RigidTransform:
     def inverse(self) -> "RigidTransform":
         Rt = self.rotation.T.copy()
         return RigidTransform(Rt, -(Rt @ self.translation))
-
-    def compose(self, inner: "RigidTransform") -> "RigidTransform":
-        """self after inner: (self.compose(inner)).apply(x) == self.apply(inner.apply(x))."""
-        return RigidTransform(
-            self.rotation @ inner.rotation,
-            self.rotation @ inner.translation + self.translation,
-        )
-
-    @staticmethod
-    def identity(dim: int) -> "RigidTransform":
-        return RigidTransform(np.eye(dim), np.zeros(dim))
 
 
 def normalize_2d(p_left: np.ndarray, p_right: np.ndarray) -> RigidTransform:

@@ -5,6 +5,7 @@ polygons dashed gray.  3D scenes render as two orthographic projections
 import numpy as np
 
 from .bspline import BSplineCurve
+from .errors import InvalidArgument
 
 CURVE_SAMPLES = 256
 WIDTH = 720.0
@@ -29,10 +30,14 @@ def render_svg(
     right: BSplineCurve,
     solution: "BSplineCurve | None" = None,
 ) -> str:
-    """SVG document for a scene and (optionally) its solution curve."""
+    """SVG document for a scene and (optionally) its solution curve; every
+    curve must have left's dimension."""
     curves = [(left, "input", "#000000"), (right, "input", "#000000")]
     if solution is not None:
         curves.append((solution, "solution", "#cc2222"))
+    for curve, cls, _ in curves:
+        if curve.dim != left.dim:
+            raise InvalidArgument(f"{cls} curve is {curve.dim}D but the left curve is {left.dim}D")
     # each curve is sampled once, whatever the number of projections
     curves = [(curve.sample(CURVE_SAMPLES), curve.points, cls, color)
               for curve, cls, color in curves]

@@ -55,10 +55,6 @@ class Scene:
     def solution_point_count(self) -> int:
         return self.solution_degree + self.solution_pieces
 
-    @property
-    def gap(self) -> float:
-        return float(np.linalg.norm(self.right.points[0] - self.left.points[-1]))
-
     def with_topology(self, degree: int, pieces: int) -> "Scene":
         return Scene(self.left, self.right, degree, pieces)
 
@@ -114,24 +110,16 @@ class CoordinateTie:
     scale: float
 
 
-def case1_tie(point_count: int = 5) -> CoordinateTie:
-    """Middle x pinned to the mean of its neighbours' x (same-sign slopes)."""
-    mid = _middle_point(point_count)
-    return CoordinateTie(mid, 0, ((mid - 1, 0), (mid + 1, 0)), 0.5)
+def case1_tie() -> CoordinateTie:
+    """Middle x of a 5-point curve pinned to the mean of its neighbours' x
+    (same-sign slopes)."""
+    return CoordinateTie(3, 0, ((2, 0), (4, 0)), 0.5)
 
 
-def case2_tie(point_count: int = 5) -> CoordinateTie:
-    """Middle y pinned to minus the mean of its neighbours' y (opposite slopes)."""
-    mid = _middle_point(point_count)
-    return CoordinateTie(mid, 1, ((mid - 1, 1), (mid + 1, 1)), -0.5)
-
-
-def _middle_point(point_count: int) -> int:
-    if point_count != 5:
-        raise InvalidArgument(
-            f"case tie constraints are defined for 5-point solutions, got {point_count}"
-        )
-    return 3
+def case2_tie() -> CoordinateTie:
+    """Middle y of a 5-point curve pinned to minus the mean of its
+    neighbours' y (opposite slopes)."""
+    return CoordinateTie(3, 1, ((2, 1), (4, 1)), -0.5)
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,16 +191,6 @@ class UnknownLayout:
         basis = np.zeros((self.unknown_count, len(offset), self.dim))
         basis[:, len(left) : len(offset) - len(right)] = self.basis[:, 1:-1]
         return offset, basis
-
-    def full_sequence(self, u: np.ndarray) -> np.ndarray:
-        """Left data, connecting interior, right data, concatenated."""
-        interior = self.solution_points(u)[1:-1]
-        return np.vstack([self.normalized.left.points, interior, self.normalized.right.points])
-
-    def solution_curve(self, u: np.ndarray) -> BSplineCurve:
-        scene = self.normalized.original
-        knots = make_knot_vector(scene.solution_degree, scene.solution_pieces)
-        return BSplineCurve(knots, self.solution_points(u))
 
 
 def build_layout(
@@ -304,10 +282,9 @@ class ResidualSystem:
     Every leaf D<order>(<index>) is affine in u, ``I = b + A @ u``, because
     the control sequence is and differencing is linear; ``leaf_maps`` builds
     (b, A) once per distinct leaf, and ``compile_jet`` expands the
-    Lagrangian, a polynomial in u, into coefficients, also once.  action,
-    residual and jacobian are then the value, exact gradient and exact
-    Hessian of that jet at u; ``jet`` evaluates all three over a batch of u
-    at once.
+    Lagrangian, a polynomial in u, into coefficients, also once.  ``jet``
+    evaluates the action, its exact gradient and its exact Hessian over a
+    batch of u at once; residual and jacobian are the last two at one u.
     """
 
     def __init__(self, layout: UnknownLayout, lagrangian: Expr):
@@ -320,19 +297,16 @@ class ResidualSystem:
         self._check_balance()
         self._jet = compile_jet(lagrangian, slot, b, self._A)
 
-    @property
-    def unknown_count(self) -> int:
-        return self.layout.unknown_count
-
     def _check_balance(self):
         # an unknown no leaf depends on makes its stationarity equation
         # 0 = 0 and Newton singular
         seen = self._A.any(axis=(0, 1))
         dead = [name for name, s in zip(self.layout.names, seen) if not s]
         if dead:
+            m = self.layout.unknown_count
             raise BalanceError(
-                self.unknown_count,
-                self.unknown_count - len(dead),
+                m,
+                m - len(dead),
                 f"the Lagrangian never sees unknown(s) {', '.join(dead)}",
             )
 
@@ -344,10 +318,6 @@ class ResidualSystem:
         not depend on u is a read-only view of one matrix.
         """
         return self._jet(self.layout.check_unknowns(u, batch=True))
-
-    def action(self, u: np.ndarray) -> float:
-        """Lagrangian value at the reconstruction."""
-        return float(self.jet(self.layout.check_unknowns(u))[0])
 
     def residual(self, u: np.ndarray) -> np.ndarray:
         return self.jet(self.layout.check_unknowns(u))[1]

@@ -201,15 +201,19 @@ def test_first_difference_lagrangian_has_higher_peak_curvature():
 
     layout = build_layout(normalized)
     tense = ResidualSystem(layout, parse_lagrangian(L_EX2))
+
+    def action(u):
+        return float(tense.jet(np.asarray(u))[0])
+
     for u in ((1 / 6, 1 / 3), (0.5, 2.0), (1.3, 0.7), (2.0, 0.25)):
         expected = 4.0 * u[0] * u[1]
-        assert abs(tense.action(np.array(u)) - expected) <= 1e-12 * abs(expected)
+        assert abs(action(u) - expected) <= 1e-12 * abs(expected)
 
-    actions, peaks = [tense.action(smooth.unknowns)], [peak_smooth]
+    actions, peaks = [action(smooth.unknowns)], [peak_smooth]
     for s in (0.75, 0.5, 0.25, 0.1):
         u = s * smooth.unknowns
-        actions.append(tense.action(u))
-        peaks.append(_max_abs_curvature(layout.solution_curve(u)))
+        actions.append(action(u))
+        peaks.append(_max_abs_curvature(BSplineCurve(knots, layout.solution_points(u))))
     assert all(b < a for a, b in zip(actions, actions[1:]))
     assert all(b > a for a, b in zip(peaks, peaks[1:]))
 

@@ -430,6 +430,17 @@ def test_render_3d_panels(capsys):
     assert svg.count("<path ") == 4  # two inputs in each of two panels
 
 
+@pytest.mark.parametrize("solved, scene", [(EX1, EX3), (EX3, EX1)], ids=["2d-on-3d", "3d-on-2d"])
+def test_render_refuses_a_solution_of_another_dimension(solved, scene, tmp_path, capsys):
+    code, sol = _solve_to(tmp_path, solved)
+    assert code == 0
+    capsys.readouterr()
+    assert main(["render", scene, "--solution", str(sol)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: solution curve is ") and err.count("\n") == 1
+
+
 def test_solve_svg_side_effect(tmp_path):
     svg_path = tmp_path / "plot.svg"
     code, _ = _solve_to(tmp_path, EX1, "--svg", str(svg_path))

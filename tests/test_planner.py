@@ -11,6 +11,7 @@ from numpy.polynomial.legendre import leggauss
 from gapspline import (
     BSplineCurve,
     InvalidArgument,
+    KnotVector,
     RigidTransform,
     Scene,
     TopologyPlan,
@@ -318,6 +319,41 @@ def test_arc_length_and_window_end_match_a_fine_reference(degree):
         for fraction in (0.1, 0.7):
             s = fraction * arc.total
             assert abs(arc.parameter_at(s) - _reference_parameter(curve, s)) <= 1e-9
+
+
+@pytest.mark.parametrize("name", PLANAR_SCENES)
+def test_plan_makes_no_evaluator_call(name, monkeypatch):
+    normalized = normalize_scene(_shipped(name))
+    calls = []
+    for name in ("point", "derivative"):
+        method = getattr(BSplineCurve, name)
+
+        def counted(curve, *args, _name=name, _method=method):
+            calls.append(_name)
+            return _method(curve, *args)
+
+        monkeypatch.setattr(BSplineCurve, name, counted)
+    plan(normalized)
+    assert calls == []
+
+
+def test_span_polynomials_match_the_evaluator_on_non_uniform_knots():
+    rng = np.random.default_rng(11)
+    for degree in range(1, 6):
+        for pieces in (1, 2, 3, 6):
+            interior = tuple(np.sort(rng.uniform(0.02, 0.98, pieces - 1)))
+            kv = KnotVector((0.0,) * (degree + 1) + interior + (1.0,) * (degree + 1), degree)
+            curve = BSplineCurve(kv, rng.normal(scale=3.0, size=(kv.point_count, 2)))
+            hodograph = _Hodograph(curve)
+            t = np.concatenate([rng.uniform(0.0, 1.0, 200), hodograph.breaks])
+            span = np.minimum(np.searchsorted(hodograph.breaks, t, side="right"), pieces) - 1
+            width = hodograph.widths[span]
+            dx, dy, ddx, ddy = hodograph.derivatives(span, (t - hodograph.breaks[span]) / width)
+            # f'' is per unit t and x; the evaluator's is per unit t squared
+            for got, want in (((dx, dy), curve.derivative(t, 1)),
+                              ((ddx / width, ddy / width), curve.derivative(t, 2))):
+                error = np.abs(np.stack(got, axis=-1) - want).max()
+                assert error <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("name", PLANAR_SCENES)
