@@ -1,13 +1,12 @@
 """Clamped B-spline curves on [0, 1] with a single-span Cox–de Boor evaluator.
 
-One triangle (Piegl & Tiller, *The NURBS Book*, A2.2) builds the degree+1
-basis functions not zero on t's knot span from the 2·degree knots around it,
-rows gathered by ``np.searchsorted`` for every t at once; a float t is an
-array of one.  The final non-empty span is closed, so a curve interpolates
-its last control point at t = 1.  Derivatives evaluate the hodograph, the
-degree-(k-1) curve with control points k (P[i+1] - P[i]) / (t[i+k+1] - t[i+1])
-on the knots without the two end ones (de Boor, *A Practical Guide to Splines*,
-ch. X).
+One triangle (Piegl & Tiller, *The NURBS Book*, A2.2), one array pass per
+row, builds the degree+1 basis functions not zero on t's knot span from the
+2·degree knots around it, gathered by ``np.searchsorted`` for every t at once.
+The final non-empty span is closed, so a curve interpolates its last control
+point at t = 1.  Derivatives evaluate the hodograph, the degree-(k-1) curve
+with control points k (P[i+1] - P[i]) / (t[i+k+1] - t[i+1]) on the knots
+without the two end ones (de Boor, *A Practical Guide to Splines*, ch. X).
 """
 
 from dataclasses import dataclass
@@ -15,6 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument
+
+
+def is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def make_knot_vector(degree: int, pieces: int) -> "KnotVector":
@@ -68,22 +71,18 @@ class KnotVector:
         return len(self.knots) - self.degree - 1
 
 
-def _triangle(kn, degree: int, t) -> list:
+def _triangle(kn, degree: int, t) -> np.ndarray:
     """The degree+1 basis values not zero on t's span from the 2·degree knots
     kn around it, kn[degree-1] <= t < kn[degree] (or t = 1 on the last span),
-    as rows of arrays as long as t."""
-    values = [1.0]
+    as a (degree+1, len(t)) array.  Row r splits each of row r-1's values
+    between the two functions it feeds by the knot pairs (lo, hi) around t."""
+    values = np.ones((1, len(t)))
     for r in range(1, degree + 1):
-        row = []
-        for m in range(r + 1):
-            g = degree - 1 - r + m
-            value = 0.0
-            if m > 0:
-                value = value + (t - kn[g]) / (kn[g + r] - kn[g]) * values[m - 1]
-            if m < r:
-                value = value + (kn[g + r + 1] - t) / (kn[g + r + 1] - kn[g + 1]) * values[m]
-            row.append(value)
-        values = row
+        lo, hi = kn[degree - r : degree], kn[degree : degree + r]
+        width = hi - lo
+        left = (t - lo) / width * values
+        right = (hi - t) / width * values
+        values = np.concatenate([right[:1], left[:-1] + right[1:], left[-1:]])
     return values
 
 
@@ -111,8 +110,8 @@ def _evaluate(knots: tuple[float, ...], degree: int, points: np.ndarray, t, orde
     not through BLAS, so it does not depend on the other parameters.
     """
     ts = parameter_array(t)
-    if order < 0:
-        raise InvalidArgument("derivative order must be >= 0")
+    if not (is_integer(order) and order >= 0):
+        raise InvalidArgument(f"derivative order must be an integer >= 0, got {order!r}")
     shape = ts.shape + points.shape[1:]
     if order > degree:
         return np.zeros(shape)
@@ -122,11 +121,9 @@ def _evaluate(knots: tuple[float, ...], degree: int, points: np.ndarray, t, orde
     # t = 1 takes the last non-empty span
     span = np.minimum(np.searchsorted(knots, flat, side="right"), len(points)) - 1
     kn = np.asarray(knots)[span + np.arange(1 - degree, degree + 1)[:, None]]
-    total = 0.0
-    # the degree-0 hodograph's one value is the float 1.0, not a row
-    for j, value in enumerate(_triangle(kn, degree, flat)):
-        total = total + np.reshape(value, (-1, 1)) * points[span - degree + j]
-    return total.reshape(shape)
+    rows = points[span + np.arange(-degree, 1)[:, None]]
+    # summed in index order from 0.0, which also turns a -0.0 coordinate into 0.0
+    return sum(_triangle(kn, degree, flat)[:, :, None] * rows, 0.0).reshape(shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,8 +165,8 @@ class BSplineCurve:
 
     def sample(self, count: int) -> np.ndarray:
         """(count, dim) polyline at uniform parameters including both ends."""
-        if count < 2:
-            raise InvalidArgument(f"sample count must be >= 2, got {count}")
+        if not (is_integer(count) and count >= 2):
+            raise InvalidArgument(f"sample count must be an integer >= 2, got {count!r}")
         return self.point(np.linspace(0.0, 1.0, count))
 
     def transformed(self, points: np.ndarray) -> "BSplineCurve":

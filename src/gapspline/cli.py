@@ -1,6 +1,7 @@
 """Command-line interface: solve, eval, render, normalize, plan."""
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -129,7 +130,8 @@ def cmd_solve(args) -> int:
             )
         tp = plan(normalized)
         scene = scene.with_topology(tp.degree, tp.pieces)
-        normalized = normalize_scene(scene)
+        # the curves and the transform do not depend on the topology
+        normalized = dataclasses.replace(normalized, original=scene)
         constraints = tp.constraints
         plan_echo = _plan_payload(tp)
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bspline import is_integer
 from .errors import ConvergenceFailure, InvalidArgument, OrientationFailure
 from .system import ResidualSystem, UnknownLayout
 
@@ -45,12 +46,8 @@ STALL_WINDOW = 10
 STALL_FACTOR = 0.5
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _is_real(value) -> bool:
-    return _is_integer(value) or isinstance(value, (float, np.floating))
+    return is_integer(value) or isinstance(value, (float, np.floating))
 
 
 @dataclass(frozen=True)
@@ -63,10 +60,10 @@ class SolverConfig:
         # an infinite tol would accept every start before its first step
         if not (_is_real(self.tol) and np.isfinite(self.tol) and self.tol > 0.0):
             raise InvalidArgument(f"tol must be finite and positive, got {self.tol!r}")
-        if not (_is_integer(self.max_iters) and self.max_iters >= 1):
+        if not (is_integer(self.max_iters) and self.max_iters >= 1):
             raise InvalidArgument(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         seed = self.seed
-        if seed is not None and not (_is_integer(seed) and seed >= 0):
+        if seed is not None and not (is_integer(seed) and seed >= 0):
             raise InvalidArgument(f"seed must be a non-negative integer, got {seed!r}")
 
 

@@ -39,35 +39,27 @@ def render_svg(
         if curve.dim != left.dim:
             raise InvalidArgument(f"{cls} curve is {curve.dim}D but the left curve is {left.dim}D")
     # each curve is sampled once, whatever the number of projections
-    curves = [(curve.sample(CURVE_SAMPLES), curve.points, cls, color)
-              for curve, cls, color in curves]
+    arrays = [a for curve, _, _ in curves for a in (curve.sample(CURVE_SAMPLES), curve.points)]
+    stacked = np.concatenate(arrays)
+    cuts = np.cumsum([len(a) for a in arrays])[:-1]
 
     if left.dim == 2:
-        projections = [((0, 1), None)]
+        projections = [([0, 1], None)]
     else:
-        projections = [((0, 1), "xy"), ((0, 2), "xz")]
+        projections = [([0, 1], "xy"), ([0, 2], "xz")]
 
     # project, flip y for SVG's downward axis, then shift panels side by side
     panels = []
     offset = 0.0
     for axes, label in projections:
-        geo = []
-        lo = np.array([np.inf, np.inf])
-        hi = -lo
-        for sampled, points, cls, color in curves:
-            samples = sampled[:, list(axes)] * (1.0, -1.0)
-            polygon = points[:, list(axes)] * (1.0, -1.0)
-            geo.append([samples, polygon, cls, color])
-            for pts in (samples, polygon):
-                lo = np.minimum(lo, pts.min(axis=0))
-                hi = np.maximum(hi, pts.max(axis=0))
+        flat = stacked[:, axes] * (1.0, -1.0)
+        lo, hi = flat.min(axis=0), flat.max(axis=0)
         shift = offset - lo[0]
-        for item in geo:
-            item[0] = item[0] + (shift, 0.0)
-            item[1] = item[1] + (shift, 0.0)
-        span_x = hi[0] - lo[0]
+        moved = np.split(flat + (shift, 0.0), cuts)
+        geo = [(moved[2 * i], moved[2 * i + 1], cls, color)
+               for i, (_, cls, color) in enumerate(curves)]
         panels.append((geo, label, lo[0] + shift, lo[1], hi[0] + shift, hi[1]))
-        offset += span_x * 1.15 + 1e-9
+        offset += (hi[0] - lo[0]) * 1.15 + 1e-9
 
     lo_x = min(p[2] for p in panels)
     lo_y = min(p[3] for p in panels)

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from gapspline.bspline import BSplineCurve, KnotVector, make_knot_vector
 from gapspline.errors import InvalidArgument
+from gapspline.formats import format_float
 from gapspline.planner import signed_curvature
 
 from conftest import insert_knot
@@ -313,3 +316,48 @@ def test_derivative_order_above_degree_is_zero():
         assert (curve.derivative(ts, degree + 1) == 0.0).all()
         assert curve.derivative(ts, degree + 1).shape == (9, 3)
         assert basis(kv, 1, 0.5, degree + 1) == 0.0
+
+
+def test_sample_count_and_derivative_order_must_be_integers():
+    c = BSplineCurve(make_knot_vector(3, 1), [(0, 0), (1, 1), (2, 2), (3, 3)])
+    for count in (2.5, 3.0, True, "3"):
+        with pytest.raises(InvalidArgument, match="sample count must be an integer >= 2"):
+            c.sample(count)
+    for order in (1.5, 1.0, True, "1"):
+        with pytest.raises(InvalidArgument, match="derivative order must be an integer >= 0"):
+            c.derivative(0.5, order)
+    assert c.sample(np.int64(3)).shape == (3, 2)
+    assert (c.derivative(0.5, np.int32(1)) == c.derivative(0.5, 1)).all()
+
+
+def test_a_negative_zero_coordinate_evaluates_to_positive_zero():
+    # every term of the sum at t = 0 is -0.0; the sum starts from 0.0
+    c = BSplineCurve(make_knot_vector(3, 1), [(-0.0, -1), (-1, -1), (-2, -1), (-3, -1)])
+    assert format_float(c.point(0.0)[0]) == "0"
+    assert format_float(c.sample(2)[0, 0]) == "0"
+
+
+def test_empty_and_two_dimensional_parameter_arrays_keep_their_shape():
+    rng = np.random.default_rng(41)
+    for kv in KNOT_CASES:
+        for dim in (2, 3):
+            c = BSplineCurve(kv, rng.normal(size=(kv.point_count, dim)))
+            ts = rng.uniform(0.0, 1.0, (2, 3))
+            for order in range(kv.degree + 2):
+                assert c.derivative(np.array([]), order).shape == (0, dim)
+                assert c.derivative(np.zeros((2, 0)), order).shape == (2, 0, dim)
+                rows = c.derivative(ts, order)
+                assert rows.shape == (2, 3, dim)
+                assert (rows.reshape(6, dim) == c.derivative(ts.ravel(), order)).all()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_parameters_are_refused(bad):
+    c = BSplineCurve(make_knot_vector(3, 2), np.arange(10.0).reshape(5, 2))
+    message = f"parameter {bad} outside [0, 1]"
+    for t in (bad, [0.5, bad], [[0.0], [bad]]):
+        for order in (0, 1, 4):
+            with pytest.raises(InvalidArgument, match=re.escape(message)):
+                c.derivative(t, order)
+    with pytest.raises(InvalidArgument, match=re.escape(message)):
+        c.point(bad)

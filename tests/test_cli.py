@@ -15,6 +15,7 @@ import gapspline
 import gapspline.cli
 from gapspline import OrientationFailure, SceneDocument, read_solution
 from gapspline.cli import main
+from gapspline.system import normalize_scene
 
 from conftest import SCENES_DIR, L_EX1, write_scene
 
@@ -85,6 +86,19 @@ def test_solve_autoplan_can_still_hit_the_orientation_filter(tmp_path, capsys):
     # only stationary point on that topology is misoriented
     code, _ = _solve_to(tmp_path, MUL01)
     assert code == 5
+
+
+def test_solve_normalizes_a_planned_scene_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(scene):
+        calls.append(scene)
+        return normalize_scene(scene)
+
+    monkeypatch.setattr(gapspline.cli, "normalize_scene", counted)
+    code, _ = _solve_to(tmp_path, MUL01)
+    assert code == 5
+    assert len(calls) == 1
 
 
 def test_solve_literal_compat_rejects_example_root(tmp_path, capsys):
@@ -512,6 +526,32 @@ def test_render_output_of_the_shipped_scenes_is_pinned(name, capsys):
     assert main(["render", str(SCENES_DIR / f"{name}.json")]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == PINNED_RENDERS[name]
+
+
+# SHA-256 of `eval --curve {left,right} --count 1001` on every shipped scene:
+# 17 significant digits, so a change in the evaluator's last bit shows
+PINNED_EVALS = {
+    "example1": ("2640552173e19f9dd97a668581bd4fd74e175ba94c6e92e7dc4d26a2c5b5b309",
+                 "4469dc817805807b402f5a0b0e30c6aa16ab4f8f3e8ae9df53a046d22c2587fd"),
+    "example2": ("2640552173e19f9dd97a668581bd4fd74e175ba94c6e92e7dc4d26a2c5b5b309",
+                 "4469dc817805807b402f5a0b0e30c6aa16ab4f8f3e8ae9df53a046d22c2587fd"),
+    "example3": ("409aee8a495939294f83600ba74e2f8a56c7072d45313ce16f663bc6c6f12b6b",
+                 "8728d6aca7ebc866d2ebd52a2760d11d57b9fe8ada74c434d5039f2a60f6df4f"),
+    "example4": ("db060f39e66c9ccf73cc1567b5164bbd5a82028f92299435b291f89e1f2d78a3",
+                 "4e59e9c53e70439830ad97f20426cb052a17503ffeaebfdf26979243acec9643"),
+    "mul_0_1": ("5947054eb220cfae89bc04cad6cb469d7857f30678d59a6406108da485a97c46",
+                "1c0924dcf8fbd73aadf31a577675fe26e2e53e1f88b3868b74594c22cd3e535b"),
+    "mul_1_1": ("adc9935d80764fed17f1822a2e9887aa59c0c242769993d2902a896a8c89394f",
+                "a624644709c34f58a4f02937320696752acace15beb2be2882bde716fcbfbb47"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_EVALS))
+def test_eval_output_of_the_shipped_scenes_is_pinned(name, capsys):
+    for curve, want in zip(("left", "right"), PINNED_EVALS[name]):
+        scene = str(SCENES_DIR / f"{name}.json")
+        assert main(["eval", scene, "--curve", curve, "--count", "1001"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want
 
 
 def test_window_clamp_is_reported_in_the_plan_only(tmp_path, capsys):
