@@ -20,16 +20,20 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_degree(degree) -> None:
+    if not (is_integer(degree) and degree >= 1):
+        raise InvalidArgument(f"degree must be an integer >= 1, got {degree!r}")
+
+
 def make_knot_vector(degree: int, pieces: int) -> "KnotVector":
     """Uniform clamped knot vector: 0 and 1 with multiplicity degree+1,
     interior knots j/pieces for j = 1..pieces-1.
 
     make_knot_vector(3, 2) -> {0,0,0,0,1/2,1,1,1,1}
     """
-    if degree < 1:
-        raise InvalidArgument(f"degree must be >= 1, got {degree}")
-    if pieces < 1:
-        raise InvalidArgument(f"pieces must be >= 1, got {pieces}")
+    _check_degree(degree)
+    if not (is_integer(pieces) and pieces >= 1):
+        raise InvalidArgument(f"pieces must be an integer >= 1, got {pieces!r}")
     interior = [j / pieces for j in range(1, pieces)]
     return KnotVector(tuple([0.0] * (degree + 1) + interior + [1.0] * (degree + 1)), degree)
 
@@ -45,8 +49,7 @@ class KnotVector:
         k = self.degree
         kn = tuple(float(t) for t in self.knots)
         object.__setattr__(self, "knots", kn)
-        if k < 1:
-            raise InvalidArgument(f"degree must be >= 1, got {k}")
+        _check_degree(k)
         if len(kn) < 2 * (k + 1):
             raise InvalidArgument(
                 f"need at least {2 * (k + 1)} knots for degree {k}, got {len(kn)}"

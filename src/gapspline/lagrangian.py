@@ -16,6 +16,7 @@ the first control point of the connecting curve; smaller indices reach into
 the fixed left data, larger ones into the right.
 """
 
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -271,14 +272,6 @@ def validate_lagrangian(expr: Expr, dim: int):
 MAX_DEGREE = 4
 MAX_EXPANDED = 100_000
 
-# for each degree k, the transposes that move one pair of axes s < t of a
-# k-axis coefficient to the end, the other axes first in order
-_FREE_PAIRS = {
-    2: [(0, 1)],
-    3: [(2, 0, 1), (1, 0, 2), (0, 1, 2)],
-    4: [(2, 3, 0, 1), (1, 3, 0, 2), (1, 2, 0, 3), (0, 3, 1, 2), (0, 2, 1, 3), (0, 1, 2, 3)],
-}
-
 
 def degree(expr: Expr) -> int:
     """The Lagrangian's degree as a polynomial in its leaves."""
@@ -356,11 +349,11 @@ def compile_jet(expr: Expr, slot: dict, b: np.ndarray, A: np.ndarray):
 
     The leaf maps are as in :func:`expand`.  The function takes u (..., m)
     and returns value (...), gradient (..., m) and Hessian (..., m, m), each
-    row computed as if alone, every Hessian symmetric bit for bit; below
-    degree 3 the Hessian is constant, a read-only view of one matrix.  Up
-    to ``MAX_DEGREE`` and ``MAX_EXPANDED`` the Lagrangian is expanded here,
-    once; otherwise a trip is evaluated from its legs, a sum adds its terms'
-    jets and a product applies the product rule to its factors' jets.
+    row computed as if alone, every Hessian symmetric bit for bit and a
+    writable array of its own.  Up to ``MAX_DEGREE`` and ``MAX_EXPANDED``
+    the Lagrangian is expanded here, once, whatever its degree; otherwise a
+    trip is evaluated from its legs, a sum adds its terms' jets and a
+    product applies the product rule to its factors' jets.
     """
     m = A.shape[-1]
     d = degree(expr)
@@ -423,44 +416,39 @@ def _polynomial_jet(C: list, m: int):
     its ordered pairs of free axes with u in the others, and by Euler's
     relation gradient H_k u / (k - 1) and value u . H_k u / (k (k - 1)).  So
     K, G = sum H_k / (k - 1) and V = sum H_k / (k (k - 1)) are linear in the
-    features [1, u, u (x) u], one row of W (features, 3 m^2) each, and
-    H = K + K^T, gradient C1 + G u, value C0 + u . (C1 + V u).  Every
-    product is a matmul on stacked rows, so a row's result does not depend
-    on its batch.  Below degree 3, K, G and V are constant.
+    features [1, u, u (x) u] up to degree len(C) - 3 ([1] for a quadratic),
+    one row of W (features, 3 m^2) each, and H = K + K^T, gradient C1 + G u,
+    value C0 + u . (C1 + V u).  Every product is a matmul on stacked rows, so
+    a row's result does not depend on its batch, and every row's Hessian is
+    its own.
     """
     C = C + [np.zeros((m,) * k) for k in range(len(C), 3)]
     c0, c1, mm = C[0], C[1], m * m
-    if len(C) == 3:
-        H = C[2] + C[2].T
-    else:
-        Ks, divisors = [], []
-        for k, Ck in enumerate(C[2:], start=2):
-            Kk = sum(Ck.transpose(axes) for axes in _FREE_PAIRS[k])
-            Ks.append(Kk.reshape(-1, m, m))
-            # the rows of degree k: G takes H_k / (k - 1), V takes H_k / (k (k - 1))
-            divisors += [(k - 1, k * (k - 1))] * len(Ks[-1])
-        K = np.concatenate(Ks)
-        H = K + K.transpose(0, 2, 1)
-        W = np.stack([K, H, H], axis=1)
-        W[:, 1:] /= np.array(divisors, dtype=float)[:, :, None, None]
-        W = W.reshape(len(W), 3 * mm)
+    Ks, divisors = [], []
+    for k, Ck in enumerate(C[2:], start=2):
+        # move each pair s < t of the k axes to the end, the others first in order
+        Kk = sum(np.moveaxis(Ck, pair, (-2, -1)) for pair in itertools.combinations(range(k), 2))
+        Ks.append(Kk.reshape(-1, m, m))
+        # the rows of degree k: G takes H_k / (k - 1), V takes H_k / (k (k - 1))
+        divisors += [(k - 1, k * (k - 1))] * len(Ks[-1])
+    K = np.concatenate(Ks)
+    H = K + K.transpose(0, 2, 1)
+    W = np.stack([K, H, H], axis=1)
+    W[:, 1:] /= np.array(divisors, dtype=float)[:, :, None, None]
+    W = W.reshape(len(W), 3 * mm)
 
     def jet(u):
-        if len(C) == 3:
-            hess = np.broadcast_to(H, u.shape[:-1] + (m, m))
-            # V = G / 2 = H / 2, and halving is exact
-            Gu = (H @ u[..., :, None])[..., 0]
-            Vu = Gu / 2
-        else:
-            batch = u.shape[:-1]
-            features = [np.ones(batch + (1,)), u]
-            if len(C) == 5:
-                features.append((u[..., :, None] * u[..., None, :]).reshape(batch + (mm,)))
-            Z = (np.concatenate(features, axis=-1)[..., None, :] @ W)[..., 0, :]
-            K = Z[..., :mm].reshape(batch + (m, m))
-            hess = K + np.swapaxes(K, -1, -2)
-            gv = (Z[..., mm:].reshape(batch + (2 * m, m)) @ u[..., :, None])[..., 0]
-            Gu, Vu = gv[..., :m], gv[..., m:]
+        batch = u.shape[:-1]
+        features = [np.ones(batch + (1,))]
+        if len(C) > 3:
+            features.append(u)
+        if len(C) == 5:
+            features.append((u[..., :, None] * u[..., None, :]).reshape(batch + (mm,)))
+        Z = (np.concatenate(features, axis=-1)[..., None, :] @ W)[..., 0, :]
+        K = Z[..., :mm].reshape(batch + (m, m))
+        hess = K + np.swapaxes(K, -1, -2)
+        gv = (Z[..., mm:].reshape(batch + (2 * m, m)) @ u[..., :, None])[..., 0]
+        Gu, Vu = gv[..., :m], gv[..., m:]
         w = c1 + Vu
         value = c0 + (u[..., None, :] @ w[..., :, None])[..., 0, 0]
         return value, c1 + Gu, hess
@@ -485,8 +473,10 @@ def leaf_maps(expr: Expr, offset: np.ndarray, basis: np.ndarray, first_index: in
             f"{first_index}..{last}"
         )
     shape = (len(keys), offset.shape[-1])  # kept when there are no leaves
-    b = np.array([np.diff(offset, l, axis=0)[i - first_index] for l, i in keys]).reshape(shape)
-    A = np.array([np.diff(basis, l, axis=1)[:, i - first_index].T for l, i in keys])
+    # the order-l differences of the offset and of the basis, once per order
+    diffs = {l: (np.diff(offset, l, axis=0), np.diff(basis, l, axis=1)) for l, _ in keys}
+    b = np.array([diffs[l][0][i - first_index] for l, i in keys]).reshape(shape)
+    A = np.array([diffs[l][1][:, i - first_index].T for l, i in keys])
     return {key: k for k, key in enumerate(keys)}, b, A.reshape(shape + (len(basis),))
 
 

@@ -91,10 +91,11 @@ def default_initial_guess(layout: UnknownLayout) -> np.ndarray:
     interior coordinates start on the chord itself (the x-axis).
     """
     d = layout.normalized.gap
-    u = np.zeros(layout.unknown_count)
-    u[0] = d / (3.0 * np.linalg.norm(layout.alpha_direction))
-    u[1] = d / (3.0 * np.linalg.norm(layout.beta_direction))
     n = layout.point_count
+    u = np.zeros(layout.unknown_count)
+    # alpha moves point 2 and beta point n - 1 along the data's end legs
+    u[0] = d / (3.0 * np.linalg.norm(layout.basis[0, 1]))
+    u[1] = d / (3.0 * np.linalg.norm(layout.basis[1, n - 2]))
     for k, (pt, c) in enumerate(layout.free_coords):
         u[2 + k] = d * (pt - 1) / (n - 1) if c == 0 else 0.0
     return u
@@ -156,16 +157,15 @@ def newton_lockstep(system: ResidualSystem, starts: np.ndarray, config: SolverCo
     iteration in which some start's full step failed, backtracking is likely
     again, so the next iteration tries the whole ladder in one jet instead.
     Either way a start takes the same first lowering step, and keeps that
-    point's residual and Jacobian for the next iteration.  A start stops
-    when its norm is within tol (converged), or (failed) when its norm is
-    not below ``STALL_FACTOR`` times its norm ``STALL_WINDOW`` iterations
+    point's residual, Jacobian and norm, written into the first jet's own
+    arrays; the norm returned is the returned point's.  A start stops when
+    its norm is within tol (converged), or (failed) when its norm is not
+    below ``STALL_FACTOR`` times its norm ``STALL_WINDOW`` iterations
     earlier, when its step is not finite, or when no step of the ladder
     lowers the norm; its iteration count is the iteration it stopped at.
     """
     u = np.array(starts, dtype=float)
     _, r, jac = system.jet(u)
-    # copies, since a constant Hessian comes back as a read-only broadcast
-    r, jac = np.array(r), np.array(jac)
     norm = np.max(np.abs(r), axis=-1)
     iterations = np.full(len(u), config.max_iters)
     converged = np.zeros(len(u), dtype=bool)
@@ -260,7 +260,8 @@ def solve(system: ResidualSystem, config: SolverConfig = SolverConfig()) -> Solu
     a root collapsed onto the chord, and ranked by bending energy with grid
     order as the tie-break.  No convergence at all raises ConvergenceFailure
     with the best residual seen; converged but misoriented or collapsed roots
-    raise OrientationFailure carrying the first such root.
+    raise OrientationFailure carrying the first such root.  Each residual
+    norm reported is the one ``newton_lockstep`` tested at that point.
     """
     starts = start_grid(system.layout, config)
     found, iterations, converged, norms = newton_lockstep(system, starts, config)
@@ -278,19 +279,15 @@ def solve(system: ResidualSystem, config: SolverConfig = SolverConfig()) -> Solu
     valid = [i for i in unique if min(found[i, 0], found[i, 1]) > tol[i]]
     if not valid:
         u = found[unique[0]]
-        norm = float(np.max(np.abs(system.residual(u))))
+        norm = float(norms[roots[unique[0]]])
         raise OrientationFailure(u, float(u[0]), float(u[1]), norm)
 
     best = min(valid, key=lambda i: (system.bending_energy(found[i]), i))
     u = found[best]
-    # fresh certificate evaluation
-    norm = float(np.max(np.abs(system.residual(u))))
-    if norm > config.tol:
-        raise ConvergenceFailure(norm, u)
     return Solution(
         unknowns=u,
         control_points=system.layout.solution_points(u),
-        residual_norm=norm,
+        residual_norm=float(norms[roots[best]]),
         iterations=int(iterations[roots[best]]),
         start_used=int(roots[best]),
     )

@@ -137,9 +137,6 @@ class UnknownLayout:
     free_coords: tuple[tuple[int, int], ...]
     offset: np.ndarray
     basis: np.ndarray
-    # constant directions multiplying alpha / beta
-    alpha_direction: np.ndarray
-    beta_direction: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -271,8 +268,6 @@ def build_layout(
         free_coords=free,
         offset=maps[0],
         basis=maps[1:],
-        alpha_direction=alpha_dir,
-        beta_direction=beta_dir,
     )
 
 
@@ -314,8 +309,7 @@ class ResidualSystem:
         """Action, residual and exact Jacobian at every row of u, (..., m).
 
         One call of the compiled jet covers the whole batch.  Returns value
-        (...), gradient (..., m) and Hessian (..., m, m); a Hessian that does
-        not depend on u is a read-only view of one matrix.
+        (...), gradient (..., m) and Hessian (..., m, m), each a new array.
         """
         return self._jet(self.layout.check_unknowns(u, batch=True))
 

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from gapspline.bspline import BSplineCurve, KnotVector, make_knot_vector
-from gapspline.formats import SCENE_VERSION, SceneDocument, curve_payload, emit_json
+from gapspline.formats import SCENE_VERSION, SceneDocument, curve_payload, emit_json, read_scene
+from gapspline.planner import plan
 from gapspline.rigid import RigidTransform
-from gapspline.system import Scene
+from gapspline.system import Scene, build_layout, normalize_scene
 
 SCENES_DIR = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -104,6 +105,17 @@ def insert_knot(curve, u):
             a = (u - kn[i]) / (kn[i + k] - kn[i])
             q.append(a * p[i] + (1.0 - a) * p[i - 1])
     return BSplineCurve(KnotVector(kn[: s + 1] + (u,) + kn[s + 1 :], k), np.array(q))
+
+
+def shipped_layout(name: str):
+    """The layout `gapspline solve` builds for a shipped scene, and the
+    scene's Lagrangian text."""
+    doc = read_scene((SCENES_DIR / f"{name}.json").read_text())
+    scene, ties = doc.scene, ()
+    if not doc.has_topology:
+        tp = plan(normalize_scene(scene))
+        scene, ties = scene.with_topology(tp.degree, tp.pieces), tp.constraints
+    return build_layout(normalize_scene(scene), ties), doc.lagrangian_text
 
 
 def write_scene(doc: SceneDocument) -> str:

@@ -42,6 +42,19 @@ def test_knot_vector_validation():
         KnotVector((0, 0, 0, 0.5, 1, 1, 1, 1), 3)  # not clamped
 
 
+def test_degree_and_pieces_must_be_integers():
+    for degree, pieces in ((2.5, 1), (3.0, 1), (True, 1), ("3", 1)):
+        with pytest.raises(InvalidArgument, match="degree must be an integer >= 1"):
+            make_knot_vector(degree, pieces)
+    for pieces in (1.5, 1.0, True, "1"):
+        with pytest.raises(InvalidArgument, match="pieces must be an integer >= 1"):
+            make_knot_vector(3, pieces)
+    for degree in (2.0, True):
+        with pytest.raises(InvalidArgument, match="degree must be an integer >= 1"):
+            KnotVector((0, 0, 0, 1, 1, 1), degree)
+    assert make_knot_vector(np.int64(3), np.int32(2)) == make_knot_vector(3, 2)
+
+
 def test_knot_vector_refuses_a_nan_interior_knot():
     # every ordering test is false for NaN, so only the (0, 1) check sees it
     with pytest.raises(InvalidArgument, match=r"strictly inside \(0, 1\)"):

@@ -353,6 +353,21 @@ def test_shipped_solutions_keep_their_points(tmp_path, name, points):
     np.testing.assert_allclose(found, points, rtol=0.0, atol=1e-12)
 
 
+# SHA-256 of the file `solve -o` writes for each exit-0 shipped scene
+PINNED_SOLUTIONS = {
+    "example1": "fc003bfe98e08e9f0f57e7c1c74c00026871a74f67450a86a75db318ecaab25b",
+    "example3": "5e145675199c97c28baf78868326d08d11fe1dee674834472c8805ef8cc98fb4",
+    "example4": "cc30bdd803d0f3a0a35561c309d60f028c748309d12574e21a89b42cf183ace4",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SOLUTIONS))
+def test_solve_output_of_the_exit_0_scenes_is_pinned(tmp_path, name):
+    code, out = _solve_to(tmp_path, str(SCENES_DIR / f"{name}.json"))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_SOLUTIONS[name]
+
+
 @pytest.mark.parametrize("option", [["--seed", "-1"], ["--tol", "inf"]], ids=["seed", "tol"])
 def test_solver_option_errors_exit_2_with_one_line(tmp_path, capsys, option):
     code, out = _solve_to(tmp_path, EX1, *option)

@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,14 +17,12 @@ from gapspline import (
     newton,
     normalize_scene,
     parse_lagrangian,
-    plan,
-    read_scene,
     solve,
     start_grid,
 )
 from gapspline.solver import LADDER, STALL_FACTOR, STALL_WINDOW, _distinct, _root_tol, newton_lockstep
 
-from conftest import SCENES_DIR, L_EX1, L_EX2, L_PLANNER, moved_scene, random_rotation
+from conftest import L_EX1, L_EX2, L_PLANNER, moved_scene, random_rotation, shipped_layout
 
 
 def _system(scene, text, ties=()):
@@ -33,12 +32,8 @@ def _system(scene, text, ties=()):
 
 def _shipped_system(name):
     """The system `gapspline solve` builds for a shipped scene."""
-    doc = read_scene((SCENES_DIR / f"{name}.json").read_text())
-    scene, ties = doc.scene, ()
-    if not doc.has_topology:
-        tp = plan(normalize_scene(scene))
-        scene, ties = scene.with_topology(tp.degree, tp.pieces), tp.constraints
-    return _system(scene, doc.lagrangian_text, ties)
+    layout, text = shipped_layout(name)
+    return ResidualSystem(layout, parse_lagrangian(text))
 
 
 def _one_start_newton(system, u0, config):
@@ -280,6 +275,35 @@ def test_lockstep_agrees_with_newton_start_by_start(name):
             assert (ok, its) == (converged[k], iterations[k])
             np.testing.assert_array_equal(_bits(found[k]), _bits(u))
             assert _bits(norms[k]) == _bits(norm)
+
+
+@pytest.mark.parametrize(
+    "name", ["example1", "example2", "example3", "example4", "mul_0_1", "mul_1_1"]
+)
+def test_solve_takes_its_verdicts_from_the_lockstep(name):
+    # the norm solve reports, for a solution or a carried root, is the one
+    # the lockstep computed at that start's last point, with no jet of its own
+    system = _shipped_system(name)
+    config = SolverConfig()
+    starts = np.array(start_grid(system.layout, config))
+    with mock.patch.object(
+        ResidualSystem, "residual", autospec=True, side_effect=ResidualSystem.residual
+    ) as residual, mock.patch.object(
+        ResidualSystem, "jet", autospec=True, side_effect=ResidualSystem.jet
+    ) as jet:
+        found, _, converged, norms = newton_lockstep(system, starts, config)
+        lockstep_jets = jet.call_count
+        try:
+            solution = solve(system, config)
+            start, norm = solution.start_used, solution.residual_norm
+        except OrientationFailure as exc:
+            start = next(
+                k for k in np.flatnonzero(converged) if (_bits(found[k]) == _bits(exc.root)).all()
+            )
+            norm = exc.residual_norm
+    assert residual.call_count == 0
+    assert jet.call_count == 2 * lockstep_jets
+    assert _bits(norm) == _bits(norms[start])
 
 
 def test_lockstep_keeps_the_product_scenes_converged_starts():

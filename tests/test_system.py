@@ -1,5 +1,6 @@
 """Scene validation, normalization wiring, unknown layout, and residual assembly."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -28,7 +29,7 @@ from gapspline.solver import SolverConfig, newton_lockstep, start_grid
 
 from conftest import (
     CUBIC, L_EX1, L_EX3, L_PLANNER, LEFT_2D, LEFT_3D, RIGHT_2D, RIGHT_3D, SCENES_DIR,
-    moved_scene, random_rotation,
+    moved_scene, random_rotation, shipped_layout,
 )
 from oracles import level_adjoint_gradient
 
@@ -366,6 +367,65 @@ def test_batched_jet_equals_the_jet_of_each_row(scene_2d, scene_3d, monkeypatch)
             np.testing.assert_array_equal(batch[2][row], batch[2][row].T)
             for batched, alone in zip(batch, system.jet(u[row])):
                 np.testing.assert_array_equal(batched[row], alone)
+
+
+# Lagrangians of degree 2, 4 and, past MAX_DEGREE, 5 for each dimension;
+# degree 3 needs a trip, so 3D only
+JET_TEXTS = {
+    2: [
+        L_EX1,
+        "2*dot(D2(1),D2(2)) + 0.5*dot(D1(1),D1(3))*dot(D2(2),D2(3)) + 1.5",
+        L_PLANNER,
+    ],
+    3: [
+        "dot(D3(1),D3(2))",
+        L_EX3,
+        L_PLANNER,
+        "trip(D2(1),D2(2),D2(3))*dot(D1(1),D1(2))",
+    ],
+}
+
+# SHA-256 over the value, gradient and Hessian bytes of every jet in
+# test_jets_are_pinned_bit_for_bit, in its order
+PINNED_JETS = "fcf77516b6e464e6d308452517a6a7d98f6d78bce8c33c0d6fbe5f23f316040d"
+
+
+def test_jets_are_pinned_bit_for_bit(monkeypatch):
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(20)
+    # expanded, and assembled past degree 2
+    for limit, name in itertools.product(
+        (lagrangian.MAX_EXPANDED, 0), ("example1", "example3", "mul_0_1")
+    ):
+        monkeypatch.setattr(lagrangian, "MAX_EXPANDED", limit)
+        layout, _ = shipped_layout(name)
+        m = layout.unknown_count
+        for text in JET_TEXTS[layout.dim]:
+            system = ResidualSystem(layout, parse_lagrangian(text))
+            for shape in ((m,), (9, m), (3, 31, m)):
+                for part in system.jet(rng.normal(scale=0.8, size=shape)):
+                    digest.update(np.ascontiguousarray(part, dtype=float).tobytes())
+    assert digest.hexdigest() == PINNED_JETS
+
+
+def test_every_jet_returns_a_writable_hessian_of_its_own(scene_2d, scene_3d, monkeypatch):
+    cases = [
+        (scene_2d, L_EX1),
+        (scene_3d, "dot(D3(1),D3(2))"),
+        (scene_3d, L_EX3),
+        (scene_2d, L_PLANNER),
+        (scene_3d, L_PLANNER),
+    ]
+    for limit, (scene, text) in itertools.product((lagrangian.MAX_EXPANDED, 0), cases):
+        monkeypatch.setattr(lagrangian, "MAX_EXPANDED", limit)
+        system = ResidualSystem(build_layout(normalize_scene(scene)), parse_lagrangian(text))
+        m = system.layout.unknown_count
+        for u in (np.full(m, 0.3), np.full((4, m), 0.3)):
+            hess = system.jet(u)[2]
+            want = hess.copy()
+            assert hess.flags.writeable
+            hess[...] = np.nan
+            np.testing.assert_array_equal(system.jet(u)[2], want)
 
 
 def test_only_jet_takes_a_batch_of_unknowns(scene_2d):
