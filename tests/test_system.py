@@ -369,8 +369,8 @@ def test_batched_jet_equals_the_jet_of_each_row(scene_2d, scene_3d, monkeypatch)
                 np.testing.assert_array_equal(batched[row], alone)
 
 
-# Lagrangians of degree 2, 4 and, past MAX_DEGREE, 5 for each dimension;
-# degree 3 needs a trip, so 3D only
+# Lagrangians of degree 2 and 4 in 2D; in 3D also degree 3 (a trip) and 5,
+# past MAX_DEGREE
 JET_TEXTS = {
     2: [
         L_EX1,
