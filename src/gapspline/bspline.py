@@ -67,6 +67,8 @@ class KnotVector:
             raise InvalidArgument("interior knots must be strictly increasing")
         if any(not 0.0 < t < 1.0 for t in interior):  # NaN fails too
             raise InvalidArgument("interior knots must lie strictly inside (0, 1)")
+        if not np.isfinite(kn).all():  # a NaN in an end run passes every test above
+            raise InvalidArgument("knots must be finite")
 
     @property
     def point_count(self) -> int:

@@ -261,14 +261,9 @@ def validate_lagrangian(expr: Expr, dim: int):
 # ---------------------------------------------------------------------------
 
 # Every leaf is affine in the unknowns u, so the Lagrangian is a polynomial in
-# u.  A part of degree up to MAX_DEGREE is expanded into coefficients once,
-# while its jet's coefficient matrix W (see _polynomial_jet) holds at most
-# MAX_EXPANDED numbers.  Per row, W costs m^3 for a cubic and m^4 for a
-# quartic in m unknowns, where a trip evaluated from its legs and the product
-# rule over quadratic factors cost m^2: measured, a quartic's expanded jet
-# stopped paying between m = 12 (W = 67,824) and m = 16 (README, "Leaf maps
-# and the exact Jacobian").  Other parts are assembled from their children's
-# jets.
+# u.  Up to MAX_DEGREE, and while its jet's coefficient matrix W (see
+# _polynomial_jet) holds at most MAX_EXPANDED numbers, it is expanded once
+# over all m unknowns; W grows as m^3 for a cubic and m^4 for a quartic.
 MAX_DEGREE = 4
 MAX_EXPANDED = 100_000
 
@@ -351,62 +346,63 @@ def compile_jet(expr: Expr, slot: dict, b: np.ndarray, A: np.ndarray):
     and returns value (...), gradient (..., m) and Hessian (..., m, m), each
     row computed as if alone, every Hessian symmetric bit for bit and a
     writable array of its own.  Up to ``MAX_DEGREE`` and ``MAX_EXPANDED``
-    the Lagrangian is expanded here, once, whatever its degree; otherwise a
-    trip is evaluated from its legs, a sum adds its terms' jets and a
-    product applies the product rule to its factors' jets.
+    the Lagrangian is expanded here, once, whatever its degree; otherwise
+    part by part (:func:`_separable_jet`).
+    """
+    m, d = A.shape[-1], degree(expr)
+    # W has 3 m^2 columns and one row per feature 1, u_i, u_i u_j up to degree d - 2
+    small = 3 * m * m * sum(m**j for j in range(min(d, MAX_DEGREE) - 1)) <= MAX_EXPANDED
+    if d < 3 or (d <= MAX_DEGREE and small):
+        return _polynomial_jet(expand(expr, slot, b, A, MAX_DEGREE), m)
+    return _separable_jet(expr, slot, b, A, local=not small)
+
+
+def _separable_jet(expr: Expr, slot: dict, b: np.ndarray, A: np.ndarray, local: bool):
+    """The jet of a part past ``MAX_DEGREE`` or ``MAX_EXPANDED``: a dot, a trip
+    or a part below degree 3 expanded, a sum's terms' jets added into place,
+    and the product rule over a product's factors' jets.
+
+    The terms are local difference invariants, so the Lagrangian is
+    partially separable (Griewank & Toint, 1982).  Past ``MAX_EXPANDED``
+    (``local``) each term or factor is compiled on ``A[..., S]``, over only
+    the unknowns S its leaves read, and one that reads none (a number, or a
+    term of fixed data) expands to a constant in no unknowns.  Within it,
+    every part takes all m unknowns, as the expansion does.
     """
     m = A.shape[-1]
-    d = degree(expr)
-    # W has 3 m^2 columns and one row per feature 1, u_i, u_i u_j up to degree d - 2
-    if d < 3 or (d <= MAX_DEGREE and 3 * m * m * sum(m**j for j in range(d - 1)) <= MAX_EXPANDED):
+    if degree(expr) < 3 or isinstance(expr, Trip):
         return _polynomial_jet(expand(expr, slot, b, A, MAX_DEGREE), m)
-    if isinstance(expr, Trip):
-        return _trip_jet(expr, slot, b, A)
-    if isinstance(expr, Sum):
-        parts = [compile_jet(t, slot, b, A) for t in expr.terms]
+    parts = []
+    for part in getattr(expr, "terms", getattr(expr, "factors", ())):
+        rows = [slot[leaf.order, leaf.index] for leaf in lagrangian_leaves(part)]
+        S = np.flatnonzero(A[rows].any(axis=(0, 1))) if local else np.arange(m)
+        parts.append((S, _separable_jet(part, slot, b, A[..., S], local)))
+    # np.take gathers a batch in C order: a row's matmuls are those it takes alone
 
-        def total(u):
-            jets = [part(u) for part in parts]
-            # value, gradient and Hessian each summed over the parts, in order
-            return tuple(sum(x[1:], x[0]) for x in zip(*jets))
-
-        return total
-    head, *rest = [compile_jet(f, slot, b, A) for f in expr.factors]
+    def total(u):
+        value, grad, hess = 0.0, np.zeros(u.shape), np.zeros(u.shape + (m,))
+        for S, part in parts:
+            v, g, H = part(np.take(u, S, axis=-1))
+            value += v
+            grad[..., S] += g
+            hess[..., S[:, None], S] += H
+        return value, grad, hess
 
     def product(u):
-        v, g, H = head(u)
-        for factor in rest:
-            w, h, K = factor(u)
+        jets = []
+        for S, part in parts:
+            w, h, K = part(np.take(u, S, axis=-1))
+            g, H = np.zeros(u.shape), np.zeros(u.shape + (m,))
+            g[..., S], H[..., S[:, None], S] = h, K
+            jets.append((w, g, H))
+        (v, g, H), *rest = jets
+        for w, h, K in rest:
             O = g[..., :, None] * h[..., None, :]
-            v, g, H = (
-                v * w,
-                v[..., None] * h + w[..., None] * g,
-                v[..., None, None] * K + w[..., None, None] * H + (O + np.swapaxes(O, -1, -2)),
-            )
+            H = v[..., None, None] * K + w[..., None, None] * H + (O + np.swapaxes(O, -1, -2))
+            v, g = v * w, v[..., None] * h + w[..., None] * g
         return v, g, H
 
-    return product
-
-
-def _trip_jet(node: Trip, slot: dict, b: np.ndarray, A: np.ndarray):
-    """The jet of (a x b) . c from the values of its legs a, b and c."""
-    if b.shape[-1] != 3:
-        raise DslTypeError("trip() needs 3D leaves")
-    rows = [slot[d.order, d.index] for d in node.legs]
-    offsets, maps = b[rows], A[rows]
-    Aa, Ab, Ac = maps
-
-    def trip(u):
-        a, b, c = np.moveaxis(offsets + (maps @ u[..., None, :, None])[..., 0], -2, 0)
-        Sa, Sb, Sc = _skew(a), _skew(b), _skew(c)
-        ab = Sa @ b[..., :, None]
-        # d2/da db of (a x b) . c is skew(c)^T = -skew(c)
-        S = -(Aa.T @ Sc @ Ab + Ab.T @ Sa @ Ac + Ac.T @ Sb @ Aa)
-        grad = Aa.T @ (Sb @ c[..., :, None]) + Ab.T @ (Sc @ a[..., :, None]) + Ac.T @ ab
-        value = (c[..., None, :] @ ab)[..., 0, 0]
-        return value, grad[..., 0], S + np.swapaxes(S, -1, -2)
-
-    return trip
+    return total if isinstance(expr, Sum) else product
 
 
 def _polynomial_jet(C: list, m: int):
@@ -428,7 +424,7 @@ def _polynomial_jet(C: list, m: int):
     for k, Ck in enumerate(C[2:], start=2):
         # move each pair s < t of the k axes to the end, the others first in order
         Kk = sum(np.moveaxis(Ck, pair, (-2, -1)) for pair in itertools.combinations(range(k), 2))
-        Ks.append(Kk.reshape(-1, m, m))
+        Ks.append(Kk.reshape(m ** (k - 2), m, m))  # not -1: a constant has m = 0
         # the rows of degree k: G takes H_k / (k - 1), V takes H_k / (k (k - 1))
         divisors += [(k - 1, k * (k - 1))] * len(Ks[-1])
     K = np.concatenate(Ks)

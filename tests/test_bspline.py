@@ -63,6 +63,12 @@ def test_knot_vector_refuses_a_nan_interior_knot():
         KnotVector((0, 0, 0, 0, 0.3, float("nan"), 1, 1, 1, 1), 3)
 
 
+def test_knot_vector_refuses_a_knot_that_is_not_finite():
+    # in an end run, a NaN passes the clamping and ordering tests
+    with pytest.raises(InvalidArgument, match="knots must be finite"):
+        KnotVector((0, 0, 0, 0, 1, 1, float("nan"), 1), 3)
+
+
 def test_endpoint_basis_values():
     kv = make_knot_vector(3, 1)
     assert basis(kv, 0, 0.0) == 1.0

@@ -404,6 +404,22 @@ def test_nan_knot_exits_2_with_one_line(tmp_path, capsys, command):
         "error: left.knots invalid: interior knots must lie strictly inside (0, 1)\n")
 
 
+@pytest.mark.parametrize(
+    "command", [["eval", "--curve", "left"], ["render"], ["plan"], ["solve"]],
+    ids=lambda c: c[0])
+def test_nan_in_an_end_run_of_knots_exits_2_with_one_line(tmp_path, capsys, command):
+    # the NaN sits between the ends the clamping test reads, and every
+    # ordering test around it is false
+    doc = json.loads(Path(EX1).read_text())
+    doc["left"]["knots"] = [0, 0, 0, 0, 1, 1, float("nan"), 1]
+    scene = tmp_path / "nan.json"
+    scene.write_text(json.dumps(doc))
+    assert main([command[0], str(scene), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: left.knots invalid: knots must be finite\n"
+
+
 # ------------------------------------------------------------------- eval
 
 

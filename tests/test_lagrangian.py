@@ -462,21 +462,30 @@ def test_products_above_the_expanded_degree_follow_the_product_rule(text):
 @settings(derandomize=True, max_examples=50, deadline=None)
 @given(_grammar_text(_number_text(["", "E-2", "e-300"])), st.integers(0, 2**32 - 1))
 def test_assembled_jet_matches_the_closure_oracle_on_grammar_texts(text, seed):
-    # with no room to expand, a trip is evaluated from its legs, and a sum or
-    # product of degree 3 or more is assembled from its children's jets
+    # with no room to expand, a sum or product of degree 3 or more is
+    # assembled from its parts' jets, each compiled on its own unknowns
     with mock.patch.object(lagrangian, "MAX_EXPANDED", 0):
         _assert_jets_agree(*_jet_routes(text, seed))
 
 
 @pytest.mark.parametrize(
-    "term",
-    ["dot(D2({0}),D2({1}))*dot(D2({1}),D2({2}))", "trip(D2({0}),D2({1}),D2({2})) + dot(D3({0}),D3({1}))"],
+    "text, pieces",
+    [
+        # 35 unknowns, a term over every point -3..18: expanded, the
+        # quartic's coefficient matrix W would take 37 MB and the cubic's 1 MB
+        *(
+            pytest.param(" + ".join(term.format(i, i + 1, i + 2) for i in range(-3, 15)), 12, id=term)
+            for term in (
+                "dot(D2({0}),D2({1}))*dot(D2({1}),D2({2}))",
+                "trip(D2({0}),D2({1}),D2({2})) + dot(D3({0}),D3({1}))",
+            )
+        ),
+        # 59 unknowns, one product past MAX_DEGREE of two trips that read few
+        pytest.param("trip(D2(1),D2(2),D2(3))*trip(D2(15),D2(16),D2(17))", 20, id="trip*trip"),
+    ],
 )
-def test_large_topologies_keep_the_jet_small(term):
-    # 35 unknowns, leaves over every point -3..18: expanded, the quartic's
-    # coefficient matrix W would take 37 MB and the cubic's 1 MB
-    text = " + ".join(term.format(i, i + 1, i + 2) for i in range(-3, 15))
-    e, slot, b, A = _leaf_system(text, np.random.default_rng(0), pieces=12)
+def test_large_topologies_keep_the_jet_small(text, pieces):
+    e, slot, b, A = _leaf_system(text, np.random.default_rng(0), pieces)
     tracemalloc.start()
     try:
         compile_jet(e, slot, b, A)
@@ -484,4 +493,4 @@ def test_large_topologies_keep_the_jet_small(term):
     finally:
         tracemalloc.stop()
     assert peak < 2e6
-    _assert_jets_agree(*_jet_routes(text, 0, rows=9, pieces=12))
+    _assert_jets_agree(*_jet_routes(text, 0, rows=9, pieces=pieces))
