@@ -264,6 +264,7 @@ def validate_lagrangian(expr: Expr, dim: int):
 # u.  Up to MAX_DEGREE, and while its jet's coefficient matrix W (see
 # _polynomial_jet) holds at most MAX_EXPANDED numbers, it is expanded once
 # over all m unknowns; W grows as m^3 for a cubic and m^4 for a quartic.
+# Past degree 4 the product rule is also the more accurate of the two.
 MAX_DEGREE = 4
 MAX_EXPANDED = 100_000
 
@@ -351,23 +352,21 @@ def compile_jet(expr: Expr, slot: dict, b: np.ndarray, A: np.ndarray):
     """
     m, d = A.shape[-1], degree(expr)
     # W has 3 m^2 columns and one row per feature 1, u_i, u_i u_j up to degree d - 2
-    small = 3 * m * m * sum(m**j for j in range(min(d, MAX_DEGREE) - 1)) <= MAX_EXPANDED
-    if d < 3 or (d <= MAX_DEGREE and small):
+    if d <= MAX_DEGREE and 3 * m * m * sum(m**j for j in range(d - 1)) <= MAX_EXPANDED:
         return _polynomial_jet(expand(expr, slot, b, A, MAX_DEGREE), m)
-    return _separable_jet(expr, slot, b, A, local=not small)
+    return _separable_jet(expr, slot, b, A)
 
 
-def _separable_jet(expr: Expr, slot: dict, b: np.ndarray, A: np.ndarray, local: bool):
+def _separable_jet(expr: Expr, slot: dict, b: np.ndarray, A: np.ndarray):
     """The jet of a part past ``MAX_DEGREE`` or ``MAX_EXPANDED``: a dot, a trip
     or a part below degree 3 expanded, a sum's terms' jets added into place,
     and the product rule over a product's factors' jets.
 
     The terms are local difference invariants, so the Lagrangian is
-    partially separable (Griewank & Toint, 1982).  Past ``MAX_EXPANDED``
-    (``local``) each term or factor is compiled on ``A[..., S]``, over only
-    the unknowns S its leaves read, and one that reads none (a number, or a
-    term of fixed data) expands to a constant in no unknowns.  Within it,
-    every part takes all m unknowns, as the expansion does.
+    partially separable (Griewank & Toint, 1982): each term or factor is
+    compiled on ``A[..., S]``, over only the unknowns S its leaves read, and
+    one that reads none (a number, or a term of fixed data) expands to a
+    constant in no unknowns.
     """
     m = A.shape[-1]
     if degree(expr) < 3 or isinstance(expr, Trip):
@@ -375,8 +374,8 @@ def _separable_jet(expr: Expr, slot: dict, b: np.ndarray, A: np.ndarray, local: 
     parts = []
     for part in getattr(expr, "terms", getattr(expr, "factors", ())):
         rows = [slot[leaf.order, leaf.index] for leaf in lagrangian_leaves(part)]
-        S = np.flatnonzero(A[rows].any(axis=(0, 1))) if local else np.arange(m)
-        parts.append((S, _separable_jet(part, slot, b, A[..., S], local)))
+        S = np.flatnonzero(A[rows].any(axis=(0, 1)))
+        parts.append((S, _separable_jet(part, slot, b, A[..., S])))
     # np.take gathers a batch in C order: a row's matmuls are those it takes alone
 
     def total(u):

@@ -36,8 +36,7 @@ from .system import ResidualSystem, UnknownLayout
 START_SCALES = (0.5, 1.0, 2.0)
 
 # Backtracking steps 1, 1/2, ..., 2**-30.  ``newton_lockstep`` tries the full
-# step in one jet and the rest in a second, or, right after an iteration that
-# backtracked, the whole ladder in one jet.
+# step in one jet and the rest in a second.
 LADDER = 0.5 ** np.arange(31)
 
 # A running start whose residual max-norm is not below STALL_FACTOR times
@@ -153,12 +152,9 @@ def newton_lockstep(system: ResidualSystem, starts: np.ndarray, config: SolverCo
     one batch, then looks along it for the first step of the backtracking
     ``LADDER`` that lowers the start's residual max-norm.  The full step
     comes first: one jet covers every running start at step 1, and a second
-    covers the rest of the ladder for the starts it did not lower.  After an
-    iteration in which some start's full step failed, backtracking is likely
-    again, so the next iteration tries the whole ladder in one jet instead.
-    Either way a start takes the same first lowering step, and keeps that
-    point's residual, Jacobian and norm, written into the first jet's own
-    arrays; the norm returned is the returned point's.  A start stops when
+    covers the rest of the ladder for the starts it did not lower.  A start
+    takes the first lowering step, and keeps that point's residual, Jacobian
+    and norm; the norm returned is the returned point's.  A start stops when
     its norm is within tol (converged), or (failed) when its norm is not
     below ``STALL_FACTOR`` times its norm ``STALL_WINDOW`` iterations
     earlier, when its step is not finite, or when no step of the ladder
@@ -170,7 +166,6 @@ def newton_lockstep(system: ResidualSystem, starts: np.ndarray, config: SolverCo
     iterations = np.full(len(u), config.max_iters)
     converged = np.zeros(len(u), dtype=bool)
     live = np.arange(len(u))
-    backtracked = False
     # norms at the top of the last STALL_WINDOW iterations, oldest first
     history = deque(maxlen=STALL_WINDOW)
     for iteration in range(config.max_iters):
@@ -191,14 +186,12 @@ def newton_lockstep(system: ResidualSystem, starts: np.ndarray, config: SolverCo
             break
         # positions in live of the starts still looking for a step
         rows = np.arange(live.size)
-        for n, steps in enumerate((LADDER,) if backtracked else (LADDER[:1], LADDER[1:])):
+        for steps in (LADDER[:1], LADDER[1:]):
             idx = live[rows]
             trial = u[idx, None] + steps[:, None] * delta[rows, None]
             _, r_trial, jac_trial = system.jet(trial)
             norm_trial = np.max(np.abs(r_trial), axis=-1)
             lower = norm_trial < norm[idx, None]
-            if n == 0:
-                backtracked = not lower[:, 0].all()
             moved = lower.any(axis=-1)
             hit = np.flatnonzero(moved)
             first = lower[hit].argmax(axis=-1)
@@ -267,11 +260,11 @@ def solve(system: ResidualSystem, config: SolverConfig = SolverConfig()) -> Solu
     found, iterations, converged, norms = newton_lockstep(system, starts, config)
     roots = np.flatnonzero(converged)
     if not roots.size:
-        best_norm, best_point = np.inf, starts[0]
-        for u, norm in zip(found, norms):
-            if norm < best_norm:
-                best_norm, best_point = float(norm), u
-        raise ConvergenceFailure(best_norm, best_point)
+        # NaN ranks as inf; a start whose norm is not finite never moved, so
+        # with no finite norm the point carried is the first start
+        clean = np.where(np.isnan(norms), np.inf, norms)
+        best = int(np.argmin(clean))
+        raise ConvergenceFailure(float(clean[best]), found[best])
 
     found = found[roots]
     tol = _root_tol(found)

@@ -387,11 +387,11 @@ JET_TEXTS = {
 
 # SHA-256 over the value, gradient and Hessian bytes of every jet in
 # test_jets_are_pinned_bit_for_bit, in its order, one digest per limit: at
-# MAX_EXPANDED, where only the degree-5 product is not expanded whole and its
-# factors take every unknown, and at 0, where every part of degree 3 or more
-# is compiled on its own unknowns
+# MAX_EXPANDED, where only the degree-5 product is not expanded whole, and
+# at 0; either way every part not expanded whole is compiled on its own
+# unknowns
 PINNED_JETS = {
-    lagrangian.MAX_EXPANDED: "70c16eed260e23b84f23d94c32f44dbf0d072c31734dde3f0ecf9d2547d348b1",
+    lagrangian.MAX_EXPANDED: "bfa3d2134a05a4488c64283c6d913e28a9f3308b4dd171ecc3decc92ed48d071",
     0: "c449522c664ff2ccda9f9ffdfe70377072d5dbd97e5a3748f03bc739f619e408",
 }
 
