@@ -7,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .bspline import BSplineCurve, make_knot_vector
 from .errors import FormatError, GapsplineError, InvalidArgument
 from .formats import (
     curve_payload,
@@ -26,8 +25,16 @@ from .svg import render_svg
 from .system import ResidualSystem, build_layout, normalize_scene
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as InvalidArgument: one stderr line, exit 2.
+    The subcommands' parsers are of this class too."""
+
+    def error(self, message):
+        raise InvalidArgument(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gapspline",
         description="Reconstruct the hidden piece of an occluded B-spline curve "
         "by extremizing a Lagrangian in difference invariants.",
@@ -139,12 +146,12 @@ def cmd_solve(args) -> int:
     system = ResidualSystem(layout, expr)
     config = SolverConfig(tol=args.tol, max_iters=args.max_iters, seed=args.seed)
     solution = solve(system, config)
-    _emit(write_solution(scene, solution, normalized.transform, text, plan_echo), args.output)
+    written = write_solution(scene, solution, normalized.transform, text, plan_echo)
+    _emit(written, args.output)
 
     if args.svg:
-        knots = make_knot_vector(scene.solution_degree, scene.solution_pieces)
-        original = normalized.transform.inverse().apply(solution.control_points)
-        curve = BSplineCurve(knots, original)
+        # the curve of the solution just written, as render --solution reads it
+        curve = solution_curve_from_document(read_solution(written))
         Path(args.svg).write_text(render_svg(scene.left, scene.right, curve))
     return 0
 
@@ -205,8 +212,8 @@ def cmd_plan(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except GapsplineError as exc:
         print(f"error: {exc}", file=sys.stderr)

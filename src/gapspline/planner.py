@@ -266,9 +266,7 @@ def _count_inflections(curve: BSplineCurve, window: float, end: str):
         raise InvalidArgument(f"curve arc length is not finite, got {total}")
     clamped = window > total
     length = min(window, total)
-    if length == total:
-        t_lo, t_hi = 0.0, 1.0
-    elif end == "tail":
+    if end == "tail":
         t_lo, t_hi = arc.parameter_at(total - length), 1.0
     else:
         t_lo, t_hi = 0.0, arc.parameter_at(length)

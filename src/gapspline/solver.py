@@ -154,60 +154,51 @@ def newton_lockstep(system: ResidualSystem, starts: np.ndarray, config: SolverCo
     comes first: one jet covers every running start at step 1, and a second
     covers the rest of the ladder for the starts it did not lower.  A start
     takes the first lowering step, and keeps that point's residual, Jacobian
-    and norm; the norm returned is the returned point's.  A start stops when
-    its norm is within tol (converged), or (failed) when its norm is not
-    below ``STALL_FACTOR`` times its norm ``STALL_WINDOW`` iterations
-    earlier, when its step is not finite, or when no step of the ladder
-    lowers the norm; its iteration count is the iteration it stopped at.
+    and norm; the norm returned is the returned point's.  A start runs on
+    while its norm is above tol and below ``STALL_FACTOR`` times its norm
+    ``STALL_WINDOW`` iterations earlier, its step is finite and the ladder
+    lowers its norm.  Its iteration count is the number of steps it took,
+    and it has converged when its final norm is within tol.
     """
     u = np.array(starts, dtype=float)
     _, r, jac = system.jet(u)
     norm = np.max(np.abs(r), axis=-1)
-    iterations = np.full(len(u), config.max_iters)
-    converged = np.zeros(len(u), dtype=bool)
+    iterations = np.zeros(len(u), dtype=np.int64)
     live = np.arange(len(u))
     # norms at the top of the last STALL_WINDOW iterations, oldest first
     history = deque(maxlen=STALL_WINDOW)
     for iteration in range(config.max_iters):
-        done = norm[live] <= config.tol
-        converged[live[done]] = True
-        iterations[live[done]] = iteration
-        live = live[~done]
+        # a NaN norm fails both tests
+        go = norm[live] > config.tol
         if len(history) == STALL_WINDOW:
-            stalled = norm[live] >= STALL_FACTOR * history[0][live]
-            iterations[live[stalled]] = iteration
-            live = live[~stalled]
+            go &= norm[live] < STALL_FACTOR * history[0][live]
+        live = live[go]
+        if not live.size:
+            break
         history.append(norm.copy())
         delta = _newton_steps(jac[live], r[live])
         finite = np.isfinite(delta).all(axis=-1)
-        iterations[live[~finite]] = iteration
-        live, delta = live[finite], delta[finite]
-        if not live.size:
-            break
-        # positions in live of the starts still looking for a step
-        rows = np.arange(live.size)
+        # the starts still looking for a lowering step, and their steps
+        seek, delta = live[finite], delta[finite]
         for steps in (LADDER[:1], LADDER[1:]):
-            idx = live[rows]
-            trial = u[idx, None] + steps[:, None] * delta[rows, None]
+            if not seek.size:
+                break
+            trial = u[seek, None] + steps[:, None] * delta[:, None]
             _, r_trial, jac_trial = system.jet(trial)
             norm_trial = np.max(np.abs(r_trial), axis=-1)
-            lower = norm_trial < norm[idx, None]
+            lower = norm_trial < norm[seek, None]
             moved = lower.any(axis=-1)
             hit = np.flatnonzero(moved)
             first = lower[hit].argmax(axis=-1)
-            idx = idx[hit]
-            u[idx] = trial[hit, first]
-            r[idx] = r_trial[hit, first]
-            jac[idx] = jac_trial[hit, first]
-            norm[idx] = norm_trial[hit, first]
-            rows = rows[~moved]
-            if not rows.size:
-                break
-        if rows.size:
-            iterations[live[rows]] = iteration
-            live = np.delete(live, rows)
-    converged[live] = norm[live] <= config.tol
-    return u, iterations, converged, norm
+            to = seek[hit]
+            u[to] = trial[hit, first]
+            r[to] = r_trial[hit, first]
+            jac[to] = jac_trial[hit, first]
+            norm[to] = norm_trial[hit, first]
+            iterations[to] += 1
+            seek, delta = seek[~moved], delta[~moved]
+        live = live[iterations[live] > iteration]
+    return u, iterations, norm <= config.tol, norm
 
 
 def newton(system: ResidualSystem, u0: np.ndarray, config: SolverConfig):

@@ -212,6 +212,32 @@ def test_file_errors_exit_2_with_one_line(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", EX1, "--max-iters", "abc"],
+        ["solve", EX1, "--no-such-flag"],
+        ["solve"],
+        ["unsolve", EX1],
+        ["eval", EX1, "--curve", "middle"],
+    ],
+    ids=["bad-int", "unknown-flag", "missing-scene", "unknown-subcommand", "bad-choice"],
+)
+def test_flag_errors_exit_2_with_one_line(capsys, argv):
+    # one line: no usage block ahead of the error
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: gapspline solve")
+
+
 def _malformed_files(tmp_path):
     """A scene with a non-numeric point, a solution with a non-numeric knot,
     and a solution with a float dim."""
@@ -488,9 +514,13 @@ def test_render_refuses_a_solution_of_another_dimension(solved, scene, tmp_path,
 
 def test_solve_svg_side_effect(tmp_path):
     svg_path = tmp_path / "plot.svg"
-    code, _ = _solve_to(tmp_path, EX1, "--svg", str(svg_path))
+    code, out = _solve_to(tmp_path, EX1, "--svg", str(svg_path))
     assert code == 0
     assert svg_path.read_text().count("<path ") == 3
+    # the picture of the solution file just written, byte for byte
+    rendered = tmp_path / "render.svg"
+    assert main(["render", EX1, "--solution", str(out), "-o", str(rendered)]) == 0
+    assert svg_path.read_bytes() == rendered.read_bytes()
 
 
 # -------------------------------------------------------- normalize / plan

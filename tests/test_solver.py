@@ -273,16 +273,25 @@ def _bits(x) -> np.ndarray:
     return np.asarray(x, dtype=float).view(np.int64)
 
 
-# the ids name the scene and the ladder's halving factor; mul_1_1's 18 starts
-# nearly all backtrack, so it shows that the order of the jets changes nothing
+# the ids name the scene, the ladder's halving factor and any config but the
+# default; mul_1_1's 18 starts nearly all backtrack, so it shows that the
+# order of the jets changes nothing, and max_iters 7 and 1 cut starts off at
+# the budget
 @pytest.mark.parametrize(
-    "name",
-    ["example1", "example2", "example3", "example4", "mul_0_1", "mul_1_1"],
-    ids=lambda name: f"{name}-0.5",
+    "name, config",
+    [
+        pytest.param(name, config, id=f"{name}-0.5{suffix}")
+        for suffix, config in (
+            ("", SolverConfig()),
+            ("-seed7", SolverConfig(seed=7)),
+            ("-max_iters7", SolverConfig(max_iters=7)),
+            ("-max_iters1", SolverConfig(max_iters=1)),
+        )
+        for name in ("example1", "example2", "example3", "example4", "mul_0_1", "mul_1_1")
+    ],
 )
-def test_lockstep_agrees_with_newton_start_by_start(name):
+def test_lockstep_agrees_with_newton_start_by_start(name, config):
     system = _shipped_system(name)
-    config = SolverConfig()
     starts = start_grid(system.layout, config)
     found, iterations, converged, norms = newton_lockstep(system, np.array(starts), config)
     for k, u0 in enumerate(starts):
