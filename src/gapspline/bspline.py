@@ -20,9 +20,11 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _check_degree(degree) -> None:
+def check_topology(degree, pieces=1) -> None:
     if not (is_integer(degree) and degree >= 1):
         raise InvalidArgument(f"degree must be an integer >= 1, got {degree!r}")
+    if not (is_integer(pieces) and pieces >= 1):
+        raise InvalidArgument(f"pieces must be an integer >= 1, got {pieces!r}")
 
 
 def make_knot_vector(degree: int, pieces: int) -> "KnotVector":
@@ -31,9 +33,7 @@ def make_knot_vector(degree: int, pieces: int) -> "KnotVector":
 
     make_knot_vector(3, 2) -> {0,0,0,0,1/2,1,1,1,1}
     """
-    _check_degree(degree)
-    if not (is_integer(pieces) and pieces >= 1):
-        raise InvalidArgument(f"pieces must be an integer >= 1, got {pieces!r}")
+    check_topology(degree, pieces)
     interior = [j / pieces for j in range(1, pieces)]
     return KnotVector(tuple([0.0] * (degree + 1) + interior + [1.0] * (degree + 1)), degree)
 
@@ -49,7 +49,7 @@ class KnotVector:
         k = self.degree
         kn = tuple(float(t) for t in self.knots)
         object.__setattr__(self, "knots", kn)
-        _check_degree(k)
+        check_topology(k)
         if len(kn) < 2 * (k + 1):
             raise InvalidArgument(
                 f"need at least {2 * (k + 1)} knots for degree {k}, got {len(kn)}"

@@ -49,6 +49,8 @@ def emit_json(value, indent: int = 0) -> str:
         return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
     if isinstance(value, (list, tuple)):
         items = list(value)
+        if all(isinstance(v, float) for v in items):
+            return "[" + ", ".join(["%.17g"] * len(items)) % tuple(items) + "]"
         if all(_is_number(v) for v in items):
             return "[" + ", ".join(
                 format_float(v) if isinstance(v, float) else str(v) for v in items
@@ -94,7 +96,7 @@ def _parse_curve(obj, dim: int, context: str) -> BSplineCurve:
     if not _is_numbers(knots):
         raise FormatError(f"{context}.knots invalid: must be an array of numbers")
     try:
-        kv = KnotVector(tuple(float(t) for t in knots), degree)
+        kv = KnotVector(tuple(knots), degree)
     except (OverflowError, ValueError) as exc:  # an integer beyond float range
         raise FormatError(f"{context}.knots invalid: {exc}") from exc
     if not (isinstance(points, list) and all(_is_numbers(p) for p in points)):
@@ -151,14 +153,14 @@ def curve_payload(curve: BSplineCurve) -> dict:
     return {
         "degree": curve.degree,
         "knots": list(curve.knots.knots),
-        "points": [list(p) for p in curve.points],
+        "points": curve.points.tolist(),
     }
 
 
 def transform_payload(transform: RigidTransform) -> dict:
     return {
-        "rotation": [list(row) for row in transform.rotation],
-        "translation": list(transform.translation),
+        "rotation": transform.rotation.tolist(),
+        "translation": transform.translation.tolist(),
     }
 
 
@@ -184,12 +186,12 @@ def write_solution(
         "lagrangian": lagrangian_text,
         "alpha": solution.alpha,
         "beta": solution.beta,
-        "unknowns": [float(v) for v in solution.unknowns],
+        "unknowns": solution.unknowns.tolist(),
         "residual_norm": solution.residual_norm,
         "iterations": solution.iterations,
         "start_used": solution.start_used,
-        "normalized_points": [list(p) for p in solution.control_points],
-        "original_points": [list(p) for p in original],
+        "normalized_points": solution.control_points.tolist(),
+        "original_points": original.tolist(),
         "transform": transform_payload(transform),
         "plan": plan_echo,
     }

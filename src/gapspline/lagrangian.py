@@ -412,17 +412,18 @@ def _polynomial_jet(C: list, m: int):
     relation gradient H_k u / (k - 1) and value u . H_k u / (k (k - 1)).  So
     K, G = sum H_k / (k - 1) and V = sum H_k / (k (k - 1)) are linear in the
     features [1, u, u (x) u] up to degree len(C) - 3 ([1] for a quadratic),
-    one row of W (features, 3 m^2) each, and H = K + K^T, gradient C1 + G u,
-    value C0 + u . (C1 + V u).  Every product is a matmul on stacked rows, so
-    a row's result does not depend on its batch, and every row's Hessian is
-    its own.
+    one row of W (features, 3 m^2) each, whose product reshapes to the
+    blocks K, G, V as views.  H = K + K^T, gradient C1 + G u, value
+    C0 + u . (C1 + V u).  Every product is a matmul on stacked rows, so a
+    row's result does not depend on its batch, and its Hessian is its own.
     """
     C = C + [np.zeros((m,) * k) for k in range(len(C), 3)]
     c0, c1, mm = C[0], C[1], m * m
     Ks, divisors = [], []
     for k, Ck in enumerate(C[2:], start=2):
-        # move each pair s < t of the k axes to the end, the others first in order
-        Kk = sum(np.moveaxis(Ck, pair, (-2, -1)) for pair in itertools.combinations(range(k), 2))
+        pairs = itertools.combinations(range(k), 2)
+        # each pair s < t of the k axes moved to the end, the others first in order
+        Kk = sum(Ck.transpose([a for a in range(k) if a not in st] + list(st)) for st in pairs)
         Ks.append(Kk.reshape(m ** (k - 2), m, m))  # not -1: a constant has m = 0
         # the rows of degree k: G takes H_k / (k - 1), V takes H_k / (k (k - 1))
         divisors += [(k - 1, k * (k - 1))] * len(Ks[-1])
@@ -439,10 +440,10 @@ def _polynomial_jet(C: list, m: int):
             features.append(u)
         if len(C) == 5:
             features.append((u[..., :, None] * u[..., None, :]).reshape(batch + (mm,)))
-        Z = (np.concatenate(features, axis=-1)[..., None, :] @ W)[..., 0, :]
-        K = Z[..., :mm].reshape(batch + (m, m))
+        Z = (np.concatenate(features, axis=-1)[..., None, :] @ W).reshape(batch + (3 * m, m))
+        K = Z[..., :m, :]
         hess = K + np.swapaxes(K, -1, -2)
-        gv = (Z[..., mm:].reshape(batch + (2 * m, m)) @ u[..., :, None])[..., 0]
+        gv = (Z[..., m:, :] @ u[..., :, None])[..., 0]
         Gu, Vu = gv[..., :m], gv[..., m:]
         w = c1 + Vu
         value = c0 + (u[..., None, :] @ w[..., :, None])[..., 0, 0]
@@ -469,7 +470,8 @@ def leaf_maps(expr: Expr, offset: np.ndarray, basis: np.ndarray, first_index: in
         )
     shape = (len(keys), offset.shape[-1])  # kept when there are no leaves
     # the order-l differences of the offset and of the basis, once per order
-    diffs = {l: (np.diff(offset, l, axis=0), np.diff(basis, l, axis=1)) for l, _ in keys}
+    orders = {l for l, _ in keys}
+    diffs = {l: (np.diff(offset, l, axis=0), np.diff(basis, l, axis=1)) for l in orders}
     b = np.array([diffs[l][0][i - first_index] for l, i in keys]).reshape(shape)
     A = np.array([diffs[l][1][:, i - first_index].T for l, i in keys])
     return {key: k for k, key in enumerate(keys)}, b, A.reshape(shape + (len(basis),))

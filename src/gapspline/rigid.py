@@ -93,14 +93,14 @@ def normalize_3d(p_left: np.ndarray, p_right: np.ndarray, aux: np.ndarray) -> Ri
 
 def _rotation_to_x_axis(u: np.ndarray) -> np.ndarray:
     """Minimal proper rotation taking unit vector u onto (1, 0, 0)."""
-    ex = np.array([1.0, 0.0, 0.0])
-    c = float(u @ ex)
-    if c > 1.0 - 1e-14:
+    x, y, z = u.tolist()  # x is u . e_x, the cosine of the angle to turn
+    if x > 1.0 - 1e-14:
         return np.eye(3)
-    if c < -1.0 + 1e-14:
+    if x < -1.0 + 1e-14:
         # antipodal: half-turn about the y-axis
         return np.diag([-1.0, 1.0, -1.0])
-    axis = np.cross(u, ex)
+    # np.cross(u, e_x), term by term as numpy computes it
+    axis = np.array([y * 0.0 - z * 0.0, z * 1.0 - x * 0.0, x * 0.0 - y * 1.0])
     s = float(np.linalg.norm(axis))
     axis = axis / s
     K = np.array(
@@ -110,4 +110,4 @@ def _rotation_to_x_axis(u: np.ndarray) -> np.ndarray:
             [-axis[1], axis[0], 0.0],
         ]
     )
-    return np.eye(3) + s * K + (1.0 - c) * (K @ K)
+    return np.eye(3) + s * K + (1.0 - x) * (K @ K)

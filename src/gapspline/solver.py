@@ -22,7 +22,6 @@ sign it carries is noise.  The rule reads only the normalized unknowns, so
 the verdict on such a root does not depend on the rigid motion of the input.
 """
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,8 +150,9 @@ def newton_lockstep(system: ResidualSystem, starts: np.ndarray, config: SolverCo
     per start.  Each iteration solves every running start's Newton step in
     one batch, then looks along it for the first step of the backtracking
     ``LADDER`` that lowers the start's residual max-norm.  The full step
-    comes first: one jet covers every running start at step 1, and a second
-    covers the rest of the ladder for the starts it did not lower.  A start
+    comes first: one jet covers every running start's ``u + delta`` as plain
+    (k, m) rows, and a second covers the rest of the ladder, (k, 30, m), for
+    the starts it did not lower; no jet is made on an empty batch.  A start
     takes the first lowering step, and keeps that point's residual, Jacobian
     and norm; the norm returned is the returned point's.  A start runs on
     while its norm is above tol and below ``STALL_FACTOR`` times its norm
@@ -165,30 +165,41 @@ def newton_lockstep(system: ResidualSystem, starts: np.ndarray, config: SolverCo
     norm = np.max(np.abs(r), axis=-1)
     iterations = np.zeros(len(u), dtype=np.int64)
     live = np.arange(len(u))
-    # norms at the top of the last STALL_WINDOW iterations, oldest first
-    history = deque(maxlen=STALL_WINDOW)
+    # norms at the top of the last STALL_WINDOW iterations: iteration k's in row k % STALL_WINDOW
+    history = np.empty((STALL_WINDOW, len(u)))
     for iteration in range(config.max_iters):
         # a NaN norm fails both tests
         go = norm[live] > config.tol
-        if len(history) == STALL_WINDOW:
-            go &= norm[live] < STALL_FACTOR * history[0][live]
+        if iteration >= STALL_WINDOW:
+            go &= norm[live] < STALL_FACTOR * history[iteration % STALL_WINDOW][live]
         live = live[go]
         if not live.size:
             break
-        history.append(norm.copy())
+        history[iteration % STALL_WINDOW] = norm
         delta = _newton_steps(jac[live], r[live])
         finite = np.isfinite(delta).all(axis=-1)
         # the starts still looking for a lowering step, and their steps
         seek, delta = live[finite], delta[finite]
-        for steps in (LADDER[:1], LADDER[1:]):
-            if not seek.size:
-                break
-            trial = u[seek, None] + steps[:, None] * delta[:, None]
+        if seek.size:
+            # the full step, on plain rows: 1.0 * delta is delta
+            trial = u[seek] + delta
+            _, r_trial, jac_trial = system.jet(trial)
+            norm_trial = np.max(np.abs(r_trial), axis=-1)
+            lower = norm_trial < norm[seek]
+            to = seek[lower]
+            u[to] = trial[lower]
+            r[to] = r_trial[lower]
+            jac[to] = jac_trial[lower]
+            norm[to] = norm_trial[lower]
+            iterations[to] += 1
+            seek, delta = seek[~lower], delta[~lower]
+        if seek.size:
+            # the rest of the ladder, for the starts the full step did not lower
+            trial = u[seek, None] + LADDER[1:, None] * delta[:, None]
             _, r_trial, jac_trial = system.jet(trial)
             norm_trial = np.max(np.abs(r_trial), axis=-1)
             lower = norm_trial < norm[seek, None]
-            moved = lower.any(axis=-1)
-            hit = np.flatnonzero(moved)
+            hit = np.flatnonzero(lower.any(axis=-1))
             first = lower[hit].argmax(axis=-1)
             to = seek[hit]
             u[to] = trial[hit, first]
@@ -196,7 +207,6 @@ def newton_lockstep(system: ResidualSystem, starts: np.ndarray, config: SolverCo
             jac[to] = jac_trial[hit, first]
             norm[to] = norm_trial[hit, first]
             iterations[to] += 1
-            seek, delta = seek[~moved], delta[~moved]
         live = live[iterations[live] > iteration]
     return u, iterations, norm <= config.tol, norm
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import BSplineCurve, make_knot_vector
+from .bspline import BSplineCurve, check_topology
 from .errors import BalanceError, DegenerateScene, InvalidArgument
 from .lagrangian import Expr, compile_jet, leaf_maps, validate_lagrangian
 from .rigid import RigidTransform, normalize_2d, normalize_3d
@@ -44,8 +44,7 @@ class Scene:
             raise InvalidArgument("each input curve needs at least 2 control points")
         if np.array_equal(self.left.points[-1], self.right.points[0]):
             raise DegenerateScene("no gap: left curve already ends where the right begins")
-        # validates degree/pieces
-        make_knot_vector(self.solution_degree, self.solution_pieces)
+        check_topology(self.solution_degree, self.solution_pieces)
 
     @property
     def dim(self) -> int:
@@ -172,7 +171,9 @@ class UnknownLayout:
         A tied coordinate is set to the scaled sum of its sources' values, so
         the tie holds exactly, not just up to the rounding of the affine map.
         """
-        pts = self.offset + np.tensordot(self.check_unknowns(u), self.basis, axes=1)
+        u = self.check_unknowns(u)
+        # np.tensordot's own product, without its set-up
+        pts = self.offset + np.dot(u, self.basis.reshape(len(u), -1)).reshape(self.offset.shape)
         for tie in self.ties:
             pts[tie.point - 1, tie.coord] = tie.scale * sum(pts[p - 1, c] for p, c in tie.sources)
         return pts

@@ -65,6 +65,23 @@ def test_emit_json_non_numeric_lists_go_multiline():
     assert text == '[\n  [1, 2],\n  [3, 4]\n]'
 
 
+def test_emit_json_number_rows_match_per_item_formatting():
+    def reference(row):
+        return "[" + ", ".join(format_float(v) if isinstance(v, float) else str(v) for v in row) + "]"
+
+    rows = [
+        [0.1, 1.0 / 3.0, -2.5, 1e300, 4.0],
+        list(np.array([np.pi, -1e-7, 0.0, 2.0**60])),  # np.float64 items
+        [-0.0, 1e-300, 5e-324],
+        [1, 0.5, -3, 2.0],
+        [],
+    ]
+    assert isinstance(rows[1][0], np.float64)
+    for row in rows:
+        assert emit_json(row) == reference(row)
+        assert emit_json(tuple(row)) == reference(row)
+
+
 def test_emit_json_rejects_unknown_types():
     with pytest.raises(FormatError):
         emit_json({"bad": {1, 2}})

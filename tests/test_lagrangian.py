@@ -71,6 +71,17 @@ def test_collinear_equispaced_second_differences_vanish():
     np.testing.assert_array_equal(np.array(list(values.values())), 0.0)
 
 
+def test_leaf_maps_differences_each_order_once():
+    # one np.diff of the offset and one of the basis per distinct order, not
+    # per distinct leaf: L_EX3 reads orders 2 and 3, L_PLANNER order 2 only
+    rng = np.random.default_rng(5)
+    offset, basis = rng.normal(size=(13, 3)), rng.normal(size=(8, 13, 3))
+    for text, calls in ((L_EX3, 4), (L_PLANNER, 2)):
+        with mock.patch.object(np, "diff", wraps=np.diff) as diff:
+            leaf_maps(parse_lagrangian(text), offset, basis, -3)
+        assert diff.call_count == calls
+
+
 def test_points_must_be_a_2d_or_3d_sequence():
     e = parse_lagrangian("dot(D1(1),D1(1))")
     for points in (np.zeros(4), np.zeros((4, 4)), np.zeros((2, 4, 2))):

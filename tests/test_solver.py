@@ -424,12 +424,12 @@ def test_lockstep_walks_one_jet_per_iteration():
     assert len(system.shapes) == 1 + iterations.max()
     assert system.shapes[0] == (4, 2)
     running = [np.count_nonzero(iterations > k) for k in range(iterations.max())]
-    assert system.shapes[1:] == [(n, 1, 2) for n in running]
+    assert system.shapes[1:] == [(n, 2) for n in running]
 
     system = _CountingJets(_SquareAndIdentity())
     _, iterations, converged, _ = newton_lockstep(system, starts[:1], SolverConfig(max_iters=3))
     assert not converged[0] and iterations[0] == 3
-    assert system.shapes == [(1, 2)] + [(1, 1, 2)] * 3
+    assert system.shapes == [(1, 2)] + [(1, 2)] * 3
 
 
 class _SteepLinear:
@@ -457,7 +457,7 @@ def test_a_start_that_stops_halving_its_residual_stalls():
     system = _CountingJets(_SteepLinear(20.0))
     found, iterations, converged, norms = newton_lockstep(system, starts, SolverConfig())
     assert not converged[0] and iterations[0] == 10
-    assert system.shapes == [(1, 2)] + [(1, 1, 2)] * 10
+    assert system.shapes == [(1, 2)] + [(1, 2)] * 10
     np.testing.assert_allclose(norms[0], 0.95**10, rtol=1e-12)
     u, its, ok, norm = newton(_SteepLinear(20.0), starts[0], SolverConfig())
     assert (its, ok, _bits(norm)) == (10, False, _bits(norms[0]))
@@ -489,7 +489,7 @@ def test_lockstep_backtracks_only_where_the_full_step_fails():
     assert converged.all() and 0 < iterations[0] and 0 < iterations[1]
     # iteration 0: the full steps, then the rest of the ladder for the start
     # whose full step failed; from then on every full step lowers
-    assert system.shapes == [(2, 2), (2, 1, 2), (1, 30, 2), (2, 1, 2), (2, 1, 2), (1, 1, 2)]
+    assert system.shapes == [(2, 2), (2, 2), (1, 30, 2), (2, 2), (2, 2), (1, 2)]
     for k, u0 in enumerate(starts):
         u, its, ok, norm = newton(_Arctan(), u0, config)
         np.testing.assert_array_equal(_bits(found[k]), _bits(u))
