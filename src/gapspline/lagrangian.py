@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bspline import is_integer
 from .errors import DslSyntaxError, DslTypeError, InvalidArgument
 
 MAX_ORDER = 3
@@ -489,8 +490,12 @@ def _points_jet(expr: Expr, points, free: list, first_index: int) -> tuple:
     """Value and gradient at the points over their free coordinates."""
     points = as_points(points)
     n, dim = points.shape
+    if not is_integer(first_index):
+        raise InvalidArgument(f"first_index must be an integer, got {first_index!r}")
     basis = np.zeros((len(free), dim, n, dim))
     for row, index in enumerate(free):
+        if not is_integer(index):
+            raise InvalidArgument(f"free index must be an integer, got {index!r}")
         if not first_index <= index < first_index + n:
             raise InvalidArgument(
                 f"free index {index} outside the points {first_index}..{first_index + n - 1}"

@@ -1,10 +1,11 @@
 """Proper rigid motions and the canonical scene normalization.
 
 Normalization sends the left boundary point to the origin and the right
-boundary point onto the positive x-axis.  In 3D the remaining roll about the
-x-axis is fixed by rotating an auxiliary point into the upper xy half-plane
-(y >= 0, z = 0); if the auxiliary point is collinear with the boundary points
-the roll is the identity.
+boundary point onto the positive x-axis, by plane (Givens) rotations: in 2D
+one turn of the chord, in 3D a turn of its y and then of its z onto x.  In 3D
+the remaining roll about the x-axis is fixed by turning an auxiliary point's z
+onto y, into the upper xy half-plane (y >= 0, z = 0); if the auxiliary point
+is collinear with the boundary points the roll is the identity.
 """
 
 from dataclasses import dataclass
@@ -51,18 +52,26 @@ class RigidTransform:
         return RigidTransform(Rt, -(Rt @ self.translation))
 
 
+def _turn(a: float, b: float, axes: tuple, dim: int) -> tuple:
+    """Plane (Givens) rotation of R^dim in the ``axes`` plane turning the pair
+    (a, b) there onto (r, 0), and r = |(a, b)|; (0, 0) gets the identity."""
+    r = float(np.linalg.norm((a, b)))
+    c, s = (1.0, 0.0) if r == 0.0 else (a / r, b / r)
+    i, j = axes
+    G = np.eye(dim)
+    G[i, i], G[i, j], G[j, i], G[j, j] = c, s, -s, c
+    return G, r
+
+
 def normalize_2d(p_left: np.ndarray, p_right: np.ndarray) -> RigidTransform:
     """Rigid motion with T(p_left) = origin and T(p_right) = (d, 0), d > 0."""
     pl = np.asarray(p_left, dtype=float)
     pr = np.asarray(p_right, dtype=float)
     if pl.shape != (2,) or pr.shape != (2,):
         raise InvalidArgument("normalize_2d expects two 2D points")
-    chord = pr - pl
-    d = float(np.linalg.norm(chord))
+    R, d = _turn(*(pr - pl), (0, 1), 2)
     if d <= 0.0:
         raise DegenerateScene("boundary points coincide; the gap has zero width")
-    c, s = chord / d
-    R = np.array([[c, s], [-s, c]])
     return RigidTransform(R, -(R @ pl))
 
 
@@ -74,40 +83,16 @@ def normalize_3d(p_left: np.ndarray, p_right: np.ndarray, aux: np.ndarray) -> Ri
     ax = np.asarray(aux, dtype=float)
     if pl.shape != (3,) or pr.shape != (3,) or ax.shape != (3,):
         raise InvalidArgument("normalize_3d expects three 3D points")
-    chord = pr - pl
-    d = float(np.linalg.norm(chord))
+    x, y, z = (pr - pl).tolist()
+    # the chord's y onto x, then its z onto x
+    to_xz, r = _turn(x, y, (0, 1), 3)
+    to_x, d = _turn(r, z, (0, 2), 3)
     if d <= 0.0:
         raise DegenerateScene("boundary points coincide; the gap has zero width")
-    u = chord / d
-    base = _rotation_to_x_axis(u)
-    a = base @ (ax - pl)
-    r = float(np.hypot(a[1], a[2]))
+    R = to_x @ to_xz
+    # then the auxiliary point's z onto y, unless it lies on the chord line
+    a = R @ (ax - pl)
+    roll, r = _turn(a[1], a[2], (1, 2), 3)
     if r > 1e-12 * max(1.0, d):
-        cy, sz = a[1] / r, a[2] / r
-        roll = np.array([[1.0, 0.0, 0.0], [0.0, cy, sz], [0.0, -sz, cy]])
-    else:
-        roll = np.eye(3)
-    R = roll @ base
+        R = roll @ R
     return RigidTransform(R, -(R @ pl))
-
-
-def _rotation_to_x_axis(u: np.ndarray) -> np.ndarray:
-    """Minimal proper rotation taking unit vector u onto (1, 0, 0)."""
-    x, y, z = u.tolist()  # x is u . e_x, the cosine of the angle to turn
-    if x > 1.0 - 1e-14:
-        return np.eye(3)
-    if x < -1.0 + 1e-14:
-        # antipodal: half-turn about the y-axis
-        return np.diag([-1.0, 1.0, -1.0])
-    # np.cross(u, e_x), term by term as numpy computes it
-    axis = np.array([y * 0.0 - z * 0.0, z * 1.0 - x * 0.0, x * 0.0 - y * 1.0])
-    s = float(np.linalg.norm(axis))
-    axis = axis / s
-    K = np.array(
-        [
-            [0.0, -axis[2], axis[1]],
-            [axis[2], 0.0, -axis[0]],
-            [-axis[1], axis[0], 0.0],
-        ]
-    )
-    return np.eye(3) + s * K + (1.0 - x) * (K @ K)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import BSplineCurve, check_topology
+from .bspline import BSplineCurve, check_topology, is_integer
 from .errors import BalanceError, DegenerateScene, InvalidArgument
 from .lagrangian import Expr, compile_jet, leaf_maps, validate_lagrangian
 from .rigid import RigidTransform, normalize_2d, normalize_3d
@@ -221,6 +221,10 @@ def build_layout(
     ties = tuple(constraints)
     tied = {}
     for tie in ties:
+        if not (is_integer(tie.point) and is_integer(tie.coord)):
+            raise InvalidArgument(f"tie target ({tie.point!r}, {tie.coord!r}) is not integer")
+        if not np.isfinite(tie.scale):
+            raise InvalidArgument(f"tie scale must be finite, got {tie.scale!r}")
         if not 2 <= tie.point <= n - 1:
             raise InvalidArgument(f"tie target p{tie.point} is not an interior point")
         if tie.point in (2, n - 1):
@@ -235,6 +239,8 @@ def build_layout(
         tied[key] = tie
     for tie in ties:
         for p, c in tie.sources:
+            if not (is_integer(p) and is_integer(c)):
+                raise InvalidArgument(f"tie source ({p!r}, {c!r}) is not integer")
             if (p, c) in tied:
                 raise InvalidArgument("chained coordinate ties are not supported")
             if not 1 <= p <= n:

@@ -382,8 +382,8 @@ def test_shipped_solutions_keep_their_points(tmp_path, name, points):
 # SHA-256 of the file `solve -o` writes for each exit-0 shipped scene
 PINNED_SOLUTIONS = {
     "example1": "fc003bfe98e08e9f0f57e7c1c74c00026871a74f67450a86a75db318ecaab25b",
-    "example3": "5e145675199c97c28baf78868326d08d11fe1dee674834472c8805ef8cc98fb4",
-    "example4": "cc30bdd803d0f3a0a35561c309d60f028c748309d12574e21a89b42cf183ace4",
+    "example3": "8ed7e03bd9782fc0bbde9b121a975b08b9ccd17854f044ea0060393106177a14",
+    "example4": "051a5504a43a9e2d7bb06af81b631e6c5a5b0950dcba68ccd28d876d081d3436",
 }
 
 

@@ -374,6 +374,23 @@ def test_table_routes_share_the_leaf_range_check():
         grad_lagrangian(parse_lagrangian(L_EX1), EX1_LEFT, [2, 5])
 
 
+def test_point_indices_must_be_integers():
+    e = parse_lagrangian(L_EX1)
+    for first_index in ("1", 1.0, True, np.float64(1.0)):
+        with pytest.raises(InvalidArgument, match="first_index must be an integer"):
+            eval_lagrangian(e, EX1_LEFT, first_index=first_index)
+        with pytest.raises(InvalidArgument, match="first_index must be an integer"):
+            grad_lagrangian(e, EX1_LEFT, [2], first_index=first_index)
+    for index in (2.0, True, "2", None):
+        with pytest.raises(InvalidArgument, match="free index must be an integer"):
+            grad_lagrangian(e, EX1_LEFT, [2, index])
+    # numpy integers are integers
+    assert eval_lagrangian(e, EX1_LEFT, first_index=np.int64(1)) == eval_lagrangian(e, EX1_LEFT)
+    np.testing.assert_array_equal(
+        grad_lagrangian(e, EX1_LEFT, np.array([2, 3])), grad_lagrangian(e, EX1_LEFT, [2, 3])
+    )
+
+
 def test_third_differences_agree_across_routes_on_five_points():
     # D3(2) reads points 2..5, the last of five
     e = parse_lagrangian("dot(D3(1),D3(2))")

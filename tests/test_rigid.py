@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_rotation
 from gapspline.errors import DegenerateScene, InvalidArgument
@@ -109,6 +111,38 @@ def test_normalize_3d_collinear_aux_keeps_identity_roll():
     aux = np.array([-2.0, 0.0, 0.0])  # on the chord line
     t = normalize_3d(pl, pr, aux)
     np.testing.assert_allclose(t.rotation, np.eye(3), atol=1e-14)
+    # a chord along -x is turned onto +x in the xy plane: a half-turn about z
+    pl = np.array([1.0, 2.0, 3.0])
+    t = normalize_3d(pl, pl - (3.0, 0.0, 0.0), pl + (5.0, 0.0, 0.0))
+    np.testing.assert_array_equal(t.rotation, np.diag([-1.0, -1.0, 1.0]))
+
+
+coord = st.floats(-10.0, 10.0)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.sampled_from([1.0, -1.0]),
+    st.floats(-9.0, -6.0),
+    st.floats(0.0, 2 * np.pi),
+    st.floats(-1.0, 2.0),
+    st.tuples(coord, coord, coord),
+    st.tuples(coord, coord, coord),
+)
+def test_normalize_3d_is_exact_for_chords_near_the_x_axis(sign, log_angle, azimuth, log_d, pl, aux):
+    # a chord 1e-9..1e-6 rad from +x or -x has no special case: p_right lands
+    # on (d, 0, 0) to rounding, and aux in the upper xy half-plane
+    angle = 10.0**log_angle
+    pl = np.array(pl)
+    direction = (sign * np.cos(angle), np.sin(angle) * np.cos(azimuth), np.sin(angle) * np.sin(azimuth))
+    pr = pl + 10.0**log_d * np.array(direction)
+    d = np.linalg.norm(pr - pl)
+    t = normalize_3d(pl, pr, np.array(aux))
+    np.testing.assert_allclose(t.apply(pr), (d, 0.0, 0.0), rtol=0.0, atol=1e-12 * d)
+    a = t.apply(np.array(aux))
+    tol = 1e-12 * max(1.0, d)
+    assert a[1] >= -tol
+    assert abs(a[2]) <= tol
 
 
 def test_normalize_commutes_with_rigid_motion():

@@ -160,6 +160,23 @@ def test_tie_validation(scene_2d):
     for sources in (((2, 5), (4, 0)), ((2, -1), (4, -1))):
         with pytest.raises(InvalidArgument, match="tie source coordinate"):
             build_layout(norm, (CoordinateTie(3, 0, sources, 0.5),))
+    # indices that are not integers, and a scale that is not finite
+    bad = (
+        CoordinateTie(3.0, 0, ((2, 0),), 0.5),
+        CoordinateTie(3, True, ((2, 0),), 0.5),
+        CoordinateTie(3, 0, ((2.0, 0),), 0.5),
+        CoordinateTie(3, 0, ((2, False),), 0.5),
+        CoordinateTie(3, 0, ((2, 0),), np.nan),
+        CoordinateTie(3, 0, ((2, 0),), -np.inf),
+    )
+    for tie in bad:
+        with pytest.raises(InvalidArgument, match="not integer|finite"):
+            build_layout(norm, (tie,))
+    # numpy integers are integers; a tie with no sources pins its coordinate to 0
+    build_layout(norm, (CoordinateTie(np.int64(3), np.int64(0), ((np.int64(2), 0),), 0.5),))
+    layout = build_layout(norm, (CoordinateTie(3, 1, (), 0.5),))
+    assert layout.names == ("alpha", "beta", "p3.x")
+    assert layout.solution_points(np.array([0.3, 0.4, 1.5]))[2].tolist() == [1.5, 0.0]
 
 
 def test_both_coordinates_of_one_point_may_be_tied(scene_2d):
@@ -391,8 +408,8 @@ JET_TEXTS = {
 # at 0; either way every part not expanded whole is compiled on its own
 # unknowns
 PINNED_JETS = {
-    lagrangian.MAX_EXPANDED: "bfa3d2134a05a4488c64283c6d913e28a9f3308b4dd171ecc3decc92ed48d071",
-    0: "c449522c664ff2ccda9f9ffdfe70377072d5dbd97e5a3748f03bc739f619e408",
+    lagrangian.MAX_EXPANDED: "b68de0d98f4f1b21e56f4d36a433d92f26d6d26d80b1dbf78dbf09d2c3343c8c",
+    0: "40fab48bb859f8883d05938633a57d5b57e430916c4effc8806f6b8571b308dc",
 }
 
 
