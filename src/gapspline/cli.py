@@ -98,16 +98,8 @@ def _emit(text: str, output: "str | None"):
 
 
 def _plan_payload(tp: TopologyPlan) -> dict:
-    return {
-        "target_inflections": tp.target_inflections,
-        "case": tp.case,
-        "realization": tp.realization,
-        "degree": tp.degree,
-        "pieces": tp.pieces,
-        "left_inflections": tp.left_inflections,
-        "right_inflections": tp.right_inflections,
-        "window_clamped": tp.window_clamped,
-    }
+    # every field in declared order but the ties, which are not JSON values
+    return {f.name: getattr(tp, f.name) for f in dataclasses.fields(tp) if f.name != "constraints"}
 
 
 def cmd_solve(args) -> int:

@@ -81,6 +81,9 @@ class Product:
 
 Expr = Number | Dot | Trip | Sum | Product
 
+# the invariants by name; the parser and the printer read arity and legs off the class
+INVARIANTS = {"dot": Dot, "trip": Trip}
+
 
 # ---------------------------------------------------------------------------
 # parser
@@ -88,6 +91,7 @@ Expr = Number | Dot | Trip | Sum | Product
 
 _NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
 _INT = re.compile(r"-?\d+")
+_EXPECTED_FACTOR = f"expected number, {''.join(f'{name}(...), ' for name in INVARIANTS)}or '('"
 
 
 class _Parser:
@@ -121,19 +125,19 @@ class _Parser:
             self.fail("unexpected trailing input")
         return expr
 
-    def expr(self) -> Expr:
-        terms = [self.term()]
-        while self.peek() == "+":
+    def chain(self, item, sep: str, node) -> Expr:
+        """``item (sep item)*``, one item as itself and more as ``node``."""
+        items = [item()]
+        while self.peek() == sep:
             self.pos += 1
-            terms.append(self.term())
-        return terms[0] if len(terms) == 1 else Sum(tuple(terms))
+            items.append(item())
+        return items[0] if len(items) == 1 else node(tuple(items))
+
+    def expr(self) -> Expr:
+        return self.chain(self.term, "+", Sum)
 
     def term(self) -> Expr:
-        factors = [self.factor()]
-        while self.peek() == "*":
-            self.pos += 1
-            factors.append(self.factor())
-        return factors[0] if len(factors) == 1 else Product(tuple(factors))
+        return self.chain(self.factor, "*", Product)
 
     def factor(self) -> Expr:
         ch = self.peek()
@@ -142,24 +146,15 @@ class _Parser:
             inner = self.expr()
             self.expect(")")
             return inner
-        if self.text.startswith("dot", self.pos):
-            self.pos += 3
-            self.expect("(")
-            a = self.vec()
-            self.expect(",")
-            b = self.vec()
-            self.expect(")")
-            return Dot(a, b)
-        if self.text.startswith("trip", self.pos):
-            self.pos += 4
-            self.expect("(")
-            a = self.vec()
-            self.expect(",")
-            b = self.vec()
-            self.expect(",")
-            c = self.vec()
-            self.expect(")")
-            return Trip(a, b, c)
+        for name, invariant in INVARIANTS.items():
+            if self.text.startswith(name, self.pos):
+                self.pos += len(name)
+                legs = []
+                for sep in "(" + "," * (len(invariant.__match_args__) - 1):
+                    self.expect(sep)
+                    legs.append(self.vec())
+                self.expect(")")
+                return invariant(*legs)
         m = _NUMBER.match(self.text, self.pos)
         if m and (ch.isdigit() or ch == "-" or ch == "."):
             value = float(m.group())
@@ -167,7 +162,7 @@ class _Parser:
                 self.fail(f"number {m.group()} overflows to infinity")
             self.pos = m.end()
             return Number(value)
-        self.fail("expected number, dot(...), trip(...), or '('")
+        self.fail(_EXPECTED_FACTOR)
 
     def vec(self) -> Diff:
         self.skip_ws()
@@ -208,10 +203,9 @@ def _fmt(node: Expr, top: bool = False) -> str:
         return repr(node.value)
     if isinstance(node, Diff):
         return f"D{node.order}({node.index})"
-    if isinstance(node, Dot):
-        return f"dot({_fmt(node.left)},{_fmt(node.right)})"
-    if isinstance(node, Trip):
-        return f"trip({_fmt(node.left)},{_fmt(node.middle)},{_fmt(node.right)})"
+    for name, invariant in INVARIANTS.items():
+        if isinstance(node, invariant):
+            return f"{name}({','.join(map(_fmt, node.legs))})"
     if isinstance(node, Sum):
         body = " + ".join(_fmt(t) for t in node.terms)
         return body if top else f"({body})"

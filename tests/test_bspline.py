@@ -40,6 +40,10 @@ def test_knot_vector_validation():
         KnotVector((0, 0, 0, 0, 0.5, 0.5, 1, 1, 1, 1), 3)  # repeated interior
     with pytest.raises(InvalidArgument):
         KnotVector((0, 0, 0, 0.5, 1, 1, 1, 1), 3)  # not clamped
+    with pytest.raises(InvalidArgument, match=r"knot vector must span \[0, 1\]"):
+        KnotVector((0, 0, 0, 0, 2, 2, 2, 2), 3)
+    with pytest.raises(InvalidArgument, match="knots must be non-decreasing"):
+        KnotVector((0, 0, 0, 0, 0.5, 0.3, 1, 1, 1, 1), 3)
 
 
 def test_degree_and_pieces_must_be_integers():
@@ -176,6 +180,9 @@ def test_point_count_mismatch_rejected():
         BSplineCurve(make_knot_vector(3, 1), [(0, 0), (1, 1), (2, 2)])
     with pytest.raises(InvalidArgument):
         BSplineCurve(make_knot_vector(3, 1), [(0, 0), (1, 1), (2, 2), (np.nan, 3)])
+    for points in (np.zeros(4), np.zeros((4, 1)), np.zeros((4, 4)), np.zeros((4, 2, 1))):
+        with pytest.raises(InvalidArgument, match=r"points must be \(n, 2\) or \(n, 3\)"):
+            BSplineCurve(make_knot_vector(3, 1), points)
 
 
 def test_parameter_and_index_range_errors():

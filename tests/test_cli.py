@@ -239,14 +239,15 @@ def test_help_exits_0(capsys):
 
 
 def _malformed_files(tmp_path):
-    """A scene with a non-numeric point, a solution with a non-numeric knot,
-    and a solution with a float dim."""
+    """A scene with a non-numeric point, a scene whose left curve is a number,
+    a solution with a non-numeric knot, and a solution with a float dim."""
     scene = json.loads(Path(EX1).read_text())
     scene["left"]["points"][1] = [1.0, "a"]
     (tmp_path / "scene.json").write_text(json.dumps(scene))
     _, sol = _solve_to(tmp_path)
     solution = json.loads(sol.read_text())
     (tmp_path / "float-dim.json").write_text(json.dumps({**solution, "dim": 2.0}))
+    (tmp_path / "curve-not-object.json").write_text(json.dumps({**scene, "left": 5}))
     solution["solution"]["knots"][2] = "b"
     (tmp_path / "solution.json").write_text(json.dumps(solution))
 
@@ -258,8 +259,9 @@ def _malformed_files(tmp_path):
         (["eval", "{tmp}/solution.json"], "solution.knots invalid"),
         (["render", EX1, "--solution", "{tmp}/solution.json"], "solution.knots invalid"),
         (["eval", "{tmp}/float-dim.json"], "dim must be 2 or 3, got 2.0"),
+        (["solve", "{tmp}/curve-not-object.json"], "left must be an object with degree/knots/points"),
     ],
-    ids=["solve-scene", "eval-solution", "render-solution", "eval-float-dim"],
+    ids=["solve-scene", "eval-solution", "render-solution", "eval-float-dim", "solve-curve-not-object"],
 )
 def test_malformed_files_exit_2_with_one_line(tmp_path, capsys, argv, message):
     _malformed_files(tmp_path)

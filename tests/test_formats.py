@@ -54,6 +54,8 @@ def test_emit_json_layout_is_stable():
         '  "f": null\n'
         '}'
     )
+    assert emit_json({}) == "{}"
+    assert emit_json({"a": {}, "b": []}) == '{\n  "a": {},\n  "b": []\n}'
 
 
 def test_emit_json_preserves_insertion_order():

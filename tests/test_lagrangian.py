@@ -127,6 +127,39 @@ def test_syntax_errors_carry_byte_offsets():
     assert err.value.offset == 16
 
 
+@pytest.mark.parametrize(
+    "text, message, offset",
+    [
+        # factor
+        ("", "expected number, dot(...), trip(...), or '('", 0),
+        ("dot(D2(1),D2(2)) + ", "expected number, dot(...), trip(...), or '('", 19),
+        ("1e400*dot(D2(1),D2(2))", "number 1e400 overflows to infinity", 0),
+        # parse
+        ("dot(D2(1),D2(2)))", "unexpected trailing input", 16),
+        # expect, in an invariant, a leaf and a parenthesized expression
+        ("dot", "expected '('", 3),
+        ("trip D1(1)", "expected '('", 5),
+        ("dot(D2(1)  D2(2))", "expected ','", 11),
+        ("trip(D2(1),D2(2))", "expected ','", 16),
+        ("dot(D2(1),D2(2)", "expected ')'", 15),
+        ("dot(D2[1],D2(2))", "expected '('", 6),
+        ("dot(D2(1,D2(2))", "expected ')'", 8),
+        ("(dot(D2(1),D2(2))", "expected ')'", 17),
+        # vec
+        ("dot(D2(1),)", "expected difference leaf 'D<order>(<index>)'", 10),
+        ("dot(D(1),D2(2))", "expected difference order after 'D'", 5),
+        ("dot(D2(-1),D-2(2))", "expected difference order after 'D'", 12),
+        ("dot(D4(1),D1(2))", "difference order must be 1..3", 4),
+        ("dot(D2(x),D2(2))", "expected integer leaf index", 7),
+    ],
+)
+def test_every_syntax_error_has_its_message_and_byte_offset(text, message, offset):
+    with pytest.raises(DslSyntaxError) as err:
+        parse_lagrangian(text)
+    assert str(err.value) == f"{message} (byte offset {offset})"
+    assert err.value.offset == offset
+
+
 def test_syntax_error_offsets_count_utf8_bytes():
     # a no-break space is whitespace to the parser and two bytes in UTF-8
     with pytest.raises(DslSyntaxError) as err:
@@ -151,12 +184,20 @@ def test_difference_order_limited_to_three():
 
 
 def test_printer_round_trip():
-    for text in [L_EX1, L_EX2, L_EX3, L_PLANNER,
-                 "2.0*(dot(D1(1),D1(1)) + 3.5)*dot(D2(0),D2(0))",
-                 # a nested product, which must not print flat
-                 "(dot(D1(1),D1(2))*dot(D1(1),D1(2)))*dot(D1(1),D1(2))"]:
+    for text, printed in [
+        (L_EX1, L_EX1), (L_EX2, L_EX2), (L_EX3, L_EX3), (L_PLANNER, L_PLANNER),
+        (" dot( D2(1) , D2(-2) ) ", "dot(D2(1),D2(-2))"),
+        (" trip( D1(-1) ,D2(0),D3(1) ) ", "trip(D1(-1),D2(0),D3(1))"),
+        ("1e3+2*dot(D1(1),D1(1))", "1000.0 + 2.0*dot(D1(1),D1(1))"),
+        ("2.0*(dot(D1(1),D1(1)) + 3.5)*dot(D2(0),D2(0))",
+         "2.0*(dot(D1(1),D1(1)) + 3.5)*dot(D2(0),D2(0))"),
+        # a nested product, which must not print flat
+        ("(dot(D1(1),D1(2))*dot(D1(1),D1(2)))*dot(D1(1),D1(2))",
+         "(dot(D1(1),D1(2))*dot(D1(1),D1(2)))*dot(D1(1),D1(2))"),
+    ]:
         e = parse_lagrangian(text)
-        assert parse_lagrangian(format_lagrangian(e)) == e
+        assert format_lagrangian(e) == printed
+        assert parse_lagrangian(printed) == e
 
 
 def test_overflowing_number_is_a_syntax_error():
@@ -204,11 +245,24 @@ def test_printer_round_trips_grammar_texts(text):
     assert parse_lagrangian(format_lagrangian(e)) == e
 
 
+def test_non_nodes_are_refused():
+    for node in ("x", 3.0):
+        with pytest.raises(InvalidArgument, match="unknown expression node"):
+            format_lagrangian(node)
+    # a leaf prints, but is a vector and has no scalar value
+    assert format_lagrangian(Diff(1, 1)) == "D1(1)"
+    for node in ("x", Diff(1, 1)):
+        with pytest.raises(InvalidArgument, match="cannot evaluate node"):
+            eval_lagrangian(node, EX1_LEFT)
+
+
 def test_trip_requires_3d():
     e = parse_lagrangian(L_EX3)
     with pytest.raises(DslTypeError):
         validate_lagrangian(e, 2)
     validate_lagrangian(e, 3)
+    with pytest.raises(InvalidArgument, match="dim must be 2 or 3, got 4"):
+        validate_lagrangian(e, 4)
     with pytest.raises(DslTypeError):
         eval_lagrangian(e, np.zeros((6, 2)))
 

@@ -103,6 +103,8 @@ def test_count_rejects_bad_arguments():
         count_inflections(s, 0.0)
     with pytest.raises(InvalidArgument):
         count_inflections(s, 1.0, end="middle")
+    with pytest.raises(InvalidArgument, match="inflection counting is 2D only"):
+        count_inflections(_curve([(0.0, 0.0, 0.0), (1.0, 2.0, 1.0), (2.0, -2.0, 0.0), (3.0, 0.0, 1.0)]), 1.0)
 
 
 def test_count_rejects_a_curve_whose_length_overflows():

@@ -24,6 +24,18 @@ def test_rejects_improper_rotation():
         RigidTransform(np.array([[1.0, 0.2], [0.0, 1.0]]), np.zeros(2))
 
 
+def test_rejects_shapes_that_are_not_a_rigid_motion():
+    for R, t in (
+        (np.eye(2), np.zeros(3)),
+        (np.eye(3), np.zeros(2)),
+        (np.eye(3), np.zeros((3, 1))),
+        (np.eye(4), np.zeros(4)),
+        (np.eye(2)[:, :1], np.zeros(2)),
+    ):
+        with pytest.raises(InvalidArgument, match="are not a rigid motion"):
+            RigidTransform(R, t)
+
+
 def test_orthonormality_test_is_np_allclose_at_the_same_tolerance():
     rng = np.random.default_rng(5)
     for dim in (2, 3):
@@ -78,6 +90,21 @@ def test_normalize_2d_trivial_and_rotated():
 def test_normalize_2d_coincident_points():
     with pytest.raises(DegenerateScene):
         normalize_2d(np.ones(2), np.ones(2))
+
+
+def test_normalize_refuses_wrong_shapes_and_coincident_3d_points():
+    for pl, pr in ((np.zeros(3), np.ones(2)), (np.zeros(2), np.ones(3)), (np.zeros((1, 2)), np.ones(2))):
+        with pytest.raises(InvalidArgument, match="normalize_2d expects two 2D points"):
+            normalize_2d(pl, pr)
+    for pl, pr, aux in (
+        (np.zeros(2), np.ones(3), np.ones(3)),
+        (np.zeros(3), np.ones(2), np.ones(3)),
+        (np.zeros(3), np.ones(3), np.ones(2)),
+    ):
+        with pytest.raises(InvalidArgument, match="normalize_3d expects three 3D points"):
+            normalize_3d(pl, pr, aux)
+    with pytest.raises(DegenerateScene, match="boundary points coincide"):
+        normalize_3d(np.ones(3), np.ones(3), np.zeros(3))
 
 
 def test_normalize_3d_examples():

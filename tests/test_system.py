@@ -140,8 +140,11 @@ def test_layout_requires_four_points(scene_2d):
 def test_layout_rejects_zero_tangent():
     left = _curve([(0.0, 0.0), (1.0, 1.0), (2.0, 0.0), (2.0, 0.0)])
     right = _curve(RIGHT_2D)
-    with pytest.raises(DegenerateScene):
+    with pytest.raises(DegenerateScene, match="left curve's end tangent vanishes"):
         build_layout(normalize_scene(Scene(left, right)))
+    right = _curve([(7.0, 2.0), (7.0, 2.0), (9.0, 1.0), (10.0, 2.0)])
+    with pytest.raises(DegenerateScene, match="right curve's start tangent vanishes"):
+        build_layout(normalize_scene(Scene(_curve(LEFT_2D), right)))
 
 
 def test_tie_validation(scene_2d):
@@ -150,6 +153,9 @@ def test_tie_validation(scene_2d):
     bad_target = CoordinateTie(2, 0, ((3, 0),), 1.0)
     with pytest.raises(InvalidArgument):
         build_layout(norm, (bad_target,))
+    # the boundary points are data, not unknowns
+    with pytest.raises(InvalidArgument, match="tie target p1 is not an interior point"):
+        build_layout(norm, (CoordinateTie(1, 0, ((3, 0),), 1.0),))
     with pytest.raises(InvalidArgument):
         build_layout(norm, (CoordinateTie(3, 2, ((2, 0),), 1.0),))
     with pytest.raises(InvalidArgument):
