@@ -40,13 +40,12 @@ class DslTypeError(GapsplineError):
 
 
 class BalanceError(GapsplineError):
-    """Unknown count does not match the equations the Lagrangian can supply."""
+    """Fewer effective equations than unknowns: the Lagrangian misses some unknown."""
 
     exit_code = 3
 
     def __init__(self, unknowns: int, equations: int, detail: str = ""):
-        kind = "under-determined" if equations < unknowns else "over-determined"
-        msg = f"{kind} system: {unknowns} unknowns vs {equations} effective equations"
+        msg = f"under-determined system: {unknowns} unknowns vs {equations} effective equations"
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)

@@ -49,12 +49,9 @@ def emit_json(value, indent: int = 0) -> str:
         return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
     if isinstance(value, (list, tuple)):
         items = list(value)
-        if all(isinstance(v, float) for v in items):
-            return "[" + ", ".join(["%.17g"] * len(items)) % tuple(items) + "]"
-        if all(_is_number(v) for v in items):
-            return "[" + ", ".join(
-                format_float(v) if isinstance(v, float) else str(v) for v in items
-            ) + "]"
+        row = ["%.17g" if isinstance(v, float) else "%d" if _is_number(v) else None for v in items]
+        if None not in row:
+            return "[" + ", ".join(row) % tuple(items) + "]"
         rows = [f"{inner}{emit_json(v, indent + 1)}" for v in items]
         return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
     if isinstance(value, bool):

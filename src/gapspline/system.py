@@ -9,9 +9,9 @@ tied to the data tangents through scalars alpha and beta:
     q_(n-1) = q_n + beta  * (q_n - p_right_second)
 
 so the control polygon continues each data polygon's end leg.  Remaining
-interior points are free coordinates, optionally reduced further by linear
-coordinate ties.  The residual of the reduced system is the exact gradient of
-the Lagrangian with respect to the reduced unknowns u = (alpha, beta, free
+interior coordinates are free, but for those of an inserted point p3 tied to
+its two neighbours.  The residual of the reduced system is the exact gradient
+of the Lagrangian with respect to the reduced unknowns u = (alpha, beta, free
 coordinates); the map u -> control points is affine, so every difference leaf
 is affine in u as well, with constant maps built once per system.
 """
@@ -40,8 +40,6 @@ class Scene:
             raise InvalidArgument(
                 f"input curves must share a dimension, got {self.left.dim} and {self.right.dim}"
             )
-        if len(self.left.points) < 2 or len(self.right.points) < 2:
-            raise InvalidArgument("each input curve needs at least 2 control points")
         if np.array_equal(self.left.points[-1], self.right.points[0]):
             raise DegenerateScene("no gap: left curve already ends where the right begins")
         check_topology(self.solution_degree, self.solution_pieces)
@@ -96,29 +94,30 @@ def normalize_scene(scene: Scene) -> NormalizedScene:
 
 @dataclass(frozen=True)
 class CoordinateTie:
-    """One coordinate pinned to a scaled sum of other points' coordinates.
+    """The inserted point's coordinate from its two neighbours.
 
-    point/coord identify the target; the tied value is
-    scale * sum(coordinate ``c`` of point ``p`` for (p, c) in sources).
-    Indices use the connecting curve's 1-based positions.
+    p3[coord] = scale * (p2[coord] + p4[coord]), in the connecting curve's
+    1-based positions; p3 is the point a busy gap inserts.
     """
 
-    point: int
     coord: int
-    sources: tuple[tuple[int, int], ...]
     scale: float
+
+    def apply(self, a: np.ndarray) -> None:
+        """Set the tied coordinate in every (n, dim) slice of a, in place."""
+        a[..., 2, self.coord] = self.scale * sum(a[..., p, self.coord] for p in (1, 3))
 
 
 def case1_tie() -> CoordinateTie:
     """Middle x of a 5-point curve pinned to the mean of its neighbours' x
     (same-sign slopes)."""
-    return CoordinateTie(3, 0, ((2, 0), (4, 0)), 0.5)
+    return CoordinateTie(0, 0.5)
 
 
 def case2_tie() -> CoordinateTie:
     """Middle y of a 5-point curve pinned to minus the mean of its
     neighbours' y (opposite slopes)."""
-    return CoordinateTie(3, 1, ((2, 1), (4, 1)), -0.5)
+    return CoordinateTie(1, -0.5)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,14 +167,14 @@ class UnknownLayout:
     def solution_points(self, u: np.ndarray) -> np.ndarray:
         """All connecting-curve control points for unknowns u, (n, dim).
 
-        A tied coordinate is set to the scaled sum of its sources' values, so
-        the tie holds exactly, not just up to the rounding of the affine map.
+        A tied coordinate is set from its neighbours' values, so the tie
+        holds exactly, not just up to the rounding of the affine map.
         """
         u = self.check_unknowns(u)
         # np.tensordot's own product, without its set-up
         pts = self.offset + np.dot(u, self.basis.reshape(len(u), -1)).reshape(self.offset.shape)
         for tie in self.ties:
-            pts[tie.point - 1, tie.coord] = tie.scale * sum(pts[p - 1, c] for p, c in tie.sources)
+            tie.apply(pts)
         return pts
 
     def sequence_map(self) -> tuple[np.ndarray, np.ndarray]:
@@ -219,40 +218,22 @@ def build_layout(
 
     dim = normalized.dim
     ties = tuple(constraints)
-    tied = {}
+    tied = set()
     for tie in ties:
-        if not (is_integer(tie.point) and is_integer(tie.coord)):
-            raise InvalidArgument(f"tie target ({tie.point!r}, {tie.coord!r}) is not integer")
+        if not is_integer(tie.coord):
+            raise InvalidArgument(f"tie target (3, {tie.coord!r}) is not integer")
         if not np.isfinite(tie.scale):
             raise InvalidArgument(f"tie scale must be finite, got {tie.scale!r}")
-        if not 2 <= tie.point <= n - 1:
-            raise InvalidArgument(f"tie target p{tie.point} is not an interior point")
-        if tie.point in (2, n - 1):
-            raise InvalidArgument(
-                f"tie target p{tie.point} is already fixed by a tangency tie"
-            )
+        if n < 5:
+            raise InvalidArgument("tie target p3 is already fixed by a tangency tie")
         if not 0 <= tie.coord < dim:
             raise InvalidArgument(f"tie coordinate {tie.coord} outside dimension {dim}")
-        key = (tie.point, tie.coord)
-        if key in tied:
-            raise InvalidArgument(f"coordinate p{tie.point}[{tie.coord}] tied twice")
-        tied[key] = tie
-    for tie in ties:
-        for p, c in tie.sources:
-            if not (is_integer(p) and is_integer(c)):
-                raise InvalidArgument(f"tie source ({p!r}, {c!r}) is not integer")
-            if (p, c) in tied:
-                raise InvalidArgument("chained coordinate ties are not supported")
-            if not 1 <= p <= n:
-                raise InvalidArgument(f"tie source p{p} outside the connecting curve")
-            if not 0 <= c < dim:
-                raise InvalidArgument(f"tie source coordinate {c} outside dimension {dim}")
+        if tie.coord in tied:
+            raise InvalidArgument(f"coordinate p3[{tie.coord}] tied twice")
+        tied.add(tie.coord)
 
     free = tuple(
-        (pt, c)
-        for pt in range(3, n - 1)
-        for c in range(dim)
-        if (pt, c) not in tied
+        (pt, c) for pt in range(3, n - 1) for c in range(dim) if pt != 3 or c not in tied
     )
     # maps[0] is the offset, maps[1 + k] the basis of unknown k
     maps = np.zeros((3 + len(free), n, dim))
@@ -265,9 +246,7 @@ def build_layout(
     for k, (pt, c) in enumerate(free):
         maps[3 + k, pt - 1, c] = 1.0
     for tie in ties:
-        maps[:, tie.point - 1, tie.coord] = tie.scale * sum(
-            maps[:, p - 1, c] for p, c in tie.sources
-        )
+        tie.apply(maps)
     return UnknownLayout(
         normalized=normalized,
         point_count=n,

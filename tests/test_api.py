@@ -1,9 +1,11 @@
 """The public names, and the names the benchmark's tracer binds, all resolve;
-importing the package pulls in no numpy submodule it does not use."""
+importing the package pulls in no numpy submodule it does not use; the
+README's library example runs."""
 
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from functools import reduce
@@ -12,6 +14,7 @@ from pathlib import Path
 import gapspline
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _traced() -> tuple:
@@ -48,3 +51,15 @@ def test_import_leaves_numpy_polynomial_unloaded():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_readme_python_blocks_run_from_the_repo_root(monkeypatch, capsys):
+    text = README.read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, re.M | re.S)
+    assert blocks
+    monkeypatch.chdir(README.parent)
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {"__name__": "__main__"})
+    # what the blocks print is what the README says they print
+    out = capsys.readouterr().out
+    assert out and out in text

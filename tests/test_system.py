@@ -122,6 +122,9 @@ def test_layout_five_points_no_ties(scene_2d):
 
 
 def test_layout_five_points_case_ties(scene_2d):
+    # same end slopes tie x3 to the mean of x2 and x4, opposite ones y3 to minus it
+    assert case1_tie() == CoordinateTie(0, 0.5)
+    assert case2_tie() == CoordinateTie(1, -0.5)
     norm = normalize_scene(scene_2d.with_topology(3, 2))
     assert build_layout(norm, (case1_tie(),)).names == ("alpha", "beta", "p3.y")
     assert build_layout(norm, (case2_tie(),)).names == ("alpha", "beta", "p3.x")
@@ -147,42 +150,34 @@ def test_layout_rejects_zero_tangent():
         build_layout(normalize_scene(Scene(_curve(LEFT_2D), right)))
 
 
+TIE_REFUSALS = [
+    (2, (CoordinateTie(0.0, 0.5),), "tie target (3, 0.0) is not integer"),
+    (2, (CoordinateTie(True, 0.5),), "tie target (3, True) is not integer"),
+    (2, (CoordinateTie(0, np.nan),), "tie scale must be finite, got nan"),
+    (2, (CoordinateTie(0, -np.inf),), "tie scale must be finite, got -inf"),
+    # four points: p3 is the right tangency point, pinned by beta
+    (1, (case1_tie(),), "tie target p3 is already fixed by a tangency tie"),
+    (2, (CoordinateTie(2, 0.5),), "tie coordinate 2 outside dimension 2"),
+    (2, (CoordinateTie(-1, 0.5),), "tie coordinate -1 outside dimension 2"),
+    (2, (case1_tie(), case1_tie()), "coordinate p3[0] tied twice"),
+    # the first refusal in that order wins
+    (1, (CoordinateTie(0, np.nan),), "tie scale must be finite, got nan"),
+    (1, (CoordinateTie(5, 0.5),), "tie target p3 is already fixed by a tangency tie"),
+    (2, (case2_tie(), CoordinateTie(7, np.inf)), "tie scale must be finite, got inf"),
+]
+
+
 def test_tie_validation(scene_2d):
+    # (pieces of the cubic, ties, the exact message), five refusals in order
+    for pieces, ties, message in TIE_REFUSALS:
+        norm = normalize_scene(scene_2d.with_topology(3, pieces))
+        with pytest.raises(InvalidArgument) as info:
+            build_layout(norm, ties)
+        assert str(info.value) == message
+    # numpy integers are integers
     norm = normalize_scene(scene_2d.with_topology(3, 2))
-    # tangency points are pinned by alpha/beta and may not be tied
-    bad_target = CoordinateTie(2, 0, ((3, 0),), 1.0)
-    with pytest.raises(InvalidArgument):
-        build_layout(norm, (bad_target,))
-    # the boundary points are data, not unknowns
-    with pytest.raises(InvalidArgument, match="tie target p1 is not an interior point"):
-        build_layout(norm, (CoordinateTie(1, 0, ((3, 0),), 1.0),))
-    with pytest.raises(InvalidArgument):
-        build_layout(norm, (CoordinateTie(3, 2, ((2, 0),), 1.0),))
-    with pytest.raises(InvalidArgument):
-        build_layout(norm, (case1_tie(), case1_tie()))
-    with pytest.raises(InvalidArgument):
-        build_layout(norm, (CoordinateTie(3, 0, ((0, 0),), 1.0),))
-    # a source coordinate outside 0..dim-1, too large or wrapping from the end
-    for sources in (((2, 5), (4, 0)), ((2, -1), (4, -1))):
-        with pytest.raises(InvalidArgument, match="tie source coordinate"):
-            build_layout(norm, (CoordinateTie(3, 0, sources, 0.5),))
-    # indices that are not integers, and a scale that is not finite
-    bad = (
-        CoordinateTie(3.0, 0, ((2, 0),), 0.5),
-        CoordinateTie(3, True, ((2, 0),), 0.5),
-        CoordinateTie(3, 0, ((2.0, 0),), 0.5),
-        CoordinateTie(3, 0, ((2, False),), 0.5),
-        CoordinateTie(3, 0, ((2, 0),), np.nan),
-        CoordinateTie(3, 0, ((2, 0),), -np.inf),
-    )
-    for tie in bad:
-        with pytest.raises(InvalidArgument, match="not integer|finite"):
-            build_layout(norm, (tie,))
-    # numpy integers are integers; a tie with no sources pins its coordinate to 0
-    build_layout(norm, (CoordinateTie(np.int64(3), np.int64(0), ((np.int64(2), 0),), 0.5),))
-    layout = build_layout(norm, (CoordinateTie(3, 1, (), 0.5),))
-    assert layout.names == ("alpha", "beta", "p3.x")
-    assert layout.solution_points(np.array([0.3, 0.4, 1.5]))[2].tolist() == [1.5, 0.0]
+    layout = build_layout(norm, (CoordinateTie(np.int64(0), 0.5),))
+    assert layout.names == ("alpha", "beta", "p3.y")
 
 
 def test_both_coordinates_of_one_point_may_be_tied(scene_2d):
@@ -190,14 +185,6 @@ def test_both_coordinates_of_one_point_may_be_tied(scene_2d):
     norm = normalize_scene(scene_2d.with_topology(3, 2))
     layout = build_layout(norm, (case1_tie(), case2_tie()))
     assert layout.names == ("alpha", "beta")
-
-
-def test_tie_sources_may_not_be_tied(scene_2d):
-    norm = normalize_scene(scene_2d.with_topology(3, 3))
-    a = CoordinateTie(3, 0, ((2, 0), (4, 0)), 0.5)
-    b = CoordinateTie(4, 0, ((3, 0), (5, 0)), 0.5)
-    with pytest.raises(InvalidArgument):
-        build_layout(norm, (a, b))
 
 
 # ------------------------------------------------------- reconstruction
