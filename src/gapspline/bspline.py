@@ -7,13 +7,24 @@ The final non-empty span is closed, so a curve interpolates its last control
 point at t = 1.  Derivatives evaluate the hodograph, the degree-(k-1) curve
 with control points k (P[i+1] - P[i]) / (t[i+k+1] - t[i+1]) on the knots
 without the two end ones (de Boor, *A Practical Guide to Splines*, ch. X).
+
+The span rows and basis values depend on the knots and t alone, and
+``sample(count)`` always evaluates at linspace(0, 1, count): it keeps that
+table per (knot vector, count) in a bounded memo and only gathers and sums
+the control points per call, with the bits of ``point``.
 """
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgument
+
+# bounds of each memo of knot-only tables: how many it keeps, and the
+# largest table it keeps (sample(256) on a degree-7 curve)
+MEMO_ENTRIES = 16
+MEMO_TABLE_BYTES = 32 * 1024
 
 
 def is_integer(value) -> bool:
@@ -69,6 +80,11 @@ class KnotVector:
             raise InvalidArgument("interior knots must lie strictly inside (0, 1)")
         if not np.isfinite(kn).all():  # a NaN in an end run passes every test above
             raise InvalidArgument("knots must be finite")
+        # hashed once: a knot vector keys the evaluation memos on every call
+        object.__setattr__(self, "_hash", hash((kn, k)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def point_count(self) -> int:
@@ -101,19 +117,74 @@ def parameter_array(t) -> np.ndarray:
     return ts
 
 
+def hodograph_denominators(knots: tuple[float, ...], degree: int) -> np.ndarray:
+    """t[i+degree+1] - t[i+1] for each leg i of the control polygon, as a
+    column."""
+    return np.subtract(knots[degree + 1 : -1], knots[1 : -degree - 1])[:, None]
+
+
 def hodograph(knots: tuple[float, ...], degree: int, points: np.ndarray) -> tuple:
     """(knots, degree, points) of the derivative of the curve with these
     control points: degree (P[i+1] - P[i]) / (t[i+degree+1] - t[i+1]) on the
     knots without the two end ones."""
-    den = np.subtract(knots[degree + 1 : -1], knots[1 : len(points)])
-    return knots[1:-1], degree - 1, degree * np.diff(points, axis=0) / den[:, None]
+    den = hodograph_denominators(knots, degree)
+    return knots[1:-1], degree - 1, degree * np.diff(points, axis=0) / den
+
+
+class TableMemo:
+    """The tables ``build(*key)`` returns, tuples of arrays made read-only,
+    for the ``entries`` keys used last; a table of more than ``table_bytes``
+    is built and returned but not kept."""
+
+    def __init__(self, build, entries: int, table_bytes: int):
+        self.build, self.entries, self.table_bytes = build, entries, table_bytes
+        self.tables = {}  # in order of last use
+        self.lock = threading.Lock()
+
+    def __call__(self, *key) -> tuple:
+        with self.lock:
+            table = self.tables.pop(key, None)
+            if table is not None:
+                self.tables[key] = table
+                return table
+        table = self.build(*key)
+        for array in table:
+            array.setflags(write=False)
+        if sum(array.nbytes for array in table) <= self.table_bytes:
+            with self.lock:
+                self.tables[key] = table
+                while len(self.tables) > self.entries:
+                    del self.tables[next(iter(self.tables))]
+        return table
+
+
+def _span_table(knots: tuple[float, ...], degree: int, t: np.ndarray) -> tuple:
+    """What evaluating at a 1-D array of t takes from the knots alone: the
+    rows of the degree+1 control points each t weighs and their weights, as
+    (degree+1, len(t)) and (degree+1, len(t), 1) arrays."""
+    # t = 1 takes the last non-empty span
+    span = np.minimum(np.searchsorted(knots, t, side="right"), len(knots) - degree - 1) - 1
+    kn = np.asarray(knots)[span + np.arange(1 - degree, degree + 1)[:, None]]
+    return span + np.arange(-degree, 1)[:, None], _triangle(kn, degree, t)[:, :, None]
+
+
+def _combine(rows: np.ndarray, basis: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Each value's degree+1 terms, summed in index order from 0.0: a fixed
+    order, not through BLAS, so a value does not depend on the other
+    parameters, and a -0.0 coordinate turns into 0.0."""
+    return sum(basis * points[rows], 0.0)
+
+
+def _sample_table(knots: KnotVector, count: int) -> tuple:
+    return _span_table(knots.knots, knots.degree, np.linspace(0.0, 1.0, count))
+
+
+_SAMPLE_TABLES = TableMemo(_sample_table, MEMO_ENTRIES, MEMO_TABLE_BYTES)
 
 
 def _evaluate(knots: tuple[float, ...], degree: int, points: np.ndarray, t, order: int):
     """order-th derivative at t, or at each of an array of t, of the curve with
-    these control points.  Each value sums its degree+1 terms in a fixed order,
-    not through BLAS, so it does not depend on the other parameters.
-    """
+    these control points."""
     ts = parameter_array(t)
     if not (is_integer(order) and order >= 0):
         raise InvalidArgument(f"derivative order must be an integer >= 0, got {order!r}")
@@ -122,13 +193,7 @@ def _evaluate(knots: tuple[float, ...], degree: int, points: np.ndarray, t, orde
         return np.zeros(shape)
     for _ in range(order):
         knots, degree, points = hodograph(knots, degree, points)
-    flat = ts.ravel()
-    # t = 1 takes the last non-empty span
-    span = np.minimum(np.searchsorted(knots, flat, side="right"), len(points)) - 1
-    kn = np.asarray(knots)[span + np.arange(1 - degree, degree + 1)[:, None]]
-    rows = points[span + np.arange(-degree, 1)[:, None]]
-    # summed in index order from 0.0, which also turns a -0.0 coordinate into 0.0
-    return sum(_triangle(kn, degree, flat)[:, :, None] * rows, 0.0).reshape(shape)
+    return _combine(*_span_table(knots, degree, ts.ravel()), points).reshape(shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,7 +237,8 @@ class BSplineCurve:
         """(count, dim) polyline at uniform parameters including both ends."""
         if not (is_integer(count) and count >= 2):
             raise InvalidArgument(f"sample count must be an integer >= 2, got {count!r}")
-        return self.point(np.linspace(0.0, 1.0, count))
+        # the same bits as point(np.linspace(0.0, 1.0, count))
+        return _combine(*_SAMPLE_TABLES(self.knots, count), self.points)
 
     def transformed(self, points: np.ndarray) -> "BSplineCurve":
         """Same knots, new control points."""

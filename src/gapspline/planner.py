@@ -11,7 +11,8 @@ drift.  More than one extra point is out of scope and reported as such.
 Each curve is read from its control points, with no evaluator call: f' on
 every knot span [a, a + h] of a degree-p curve is a polynomial in
 x = (t - a) / h, whose coefficients come from de Boor's algorithm on the
-hodograph run with x kept symbolic.  The speed, f'' and the
+hodograph run with x kept symbolic; its factors depend on the knots
+alone and are kept per knot vector.  The speed, f'' and the
 signed curvature come from those polynomials, arc length from adaptive
 Gauss–Legendre quadrature of |f'|, and the window's end parameter from
 Newton's method on the arc length (Guenter & Parent, "Computing the arc
@@ -27,7 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import BSplineCurve, hodograph, parameter_array
+from .bspline import (
+    MEMO_ENTRIES,
+    MEMO_TABLE_BYTES,
+    BSplineCurve,
+    KnotVector,
+    TableMemo,
+    hodograph_denominators,
+    parameter_array,
+)
 from .errors import InvalidArgument, UnsupportedComplexity
 from .system import CoordinateTie, NormalizedScene, case1_tie, case2_tie
 
@@ -88,6 +97,27 @@ SPLIT_NODES = np.concatenate([GAUSS_NODES, 1.0 + GAUSS_NODES, 2.0 * GAUSS_NODES]
 END_NODES = np.append(GAUSS_NODES, 1.0)
 
 
+def _knot_factors(knots: KnotVector) -> tuple:
+    """What _Hodograph takes from the knots alone: the hodograph's
+    denominators, the breaks and widths of its spans, the rows of each span's
+    p hodograph points, and the factors c0 and c1 of each de Boor row."""
+    p = knots.degree
+    kn = np.asarray(knots.knots[1:-1])  # the hodograph's, of degree p - 1
+    breaks = kn[p - 1 : len(kn) - p + 1]  # clamped: the distinct knots
+    widths = np.diff(breaks)
+    span = np.arange(len(widths))[:, None]
+    factors = []
+    for r in range(1, p):
+        lo = kn[span + np.arange(r, p)]
+        den = kn[span + np.arange(p, 2 * p - r)] - lo
+        factors.append(((breaks[:-1, None] - lo) / den)[:, :, None, None])
+        factors.append((widths[:, None] / den)[:, :, None, None])
+    return (hodograph_denominators(knots.knots, p), breaks, widths, span + np.arange(p), *factors)
+
+
+_KNOT_TABLES = TableMemo(_knot_factors, MEMO_ENTRIES, MEMO_TABLE_BYTES)
+
+
 class _Hodograph:
     """f' of a planar curve as one polynomial per knot span, read from the
     control points.
@@ -103,26 +133,19 @@ class _Hodograph:
 
     def __init__(self, curve: BSplineCurve):
         p = curve.degree
-        knots, q, points = hodograph(curve.knots.knots, p, curve.points)
-        knots = np.asarray(knots)
-        self.breaks = knots[q : len(knots) - q]  # clamped: the distinct knots
-        self.widths = np.diff(self.breaks)
-        span = np.arange(len(self.widths))[:, None]
+        den, self.breaks, self.widths, gather, *factors = _KNOT_TABLES(curve.knots)
+        legs = np.diff(curve.points, axis=0)
+        points = p * legs / den  # the hodograph's
         # d[i, m, k]: coefficient of x**k of de Boor point m on span i
         d = np.zeros((len(self.widths), p, p, curve.dim))
-        d[:, :, 0] = points[span + np.arange(p)]
-        for r in range(1, p):
-            lo = knots[span + np.arange(r, p)]
-            den = knots[span + np.arange(p, 2 * p - r)] - lo
-            c0 = ((self.breaks[:-1, None] - lo) / den)[:, :, None, None]
-            c1 = (self.widths[:, None] / den)[:, :, None, None]
+        d[:, :, 0] = points[gather]
+        for r, c0, c1 in zip(range(1, p), factors[::2], factors[1::2]):
             step = d[:, r:] - d[:, r - 1 : -1]
             d[:, r:] = d[:, r - 1 : -1] + c0 * step
             d[:, r:, 1:] += c1 * step[:, :, :-1]
         # row i: the x and y coefficients of x**0, x**1, ... on span i
         self.rows = d[:, -1].reshape(len(self.widths), -1)
         # the control polygon is at least as long as the curve
-        legs = np.diff(curve.points, axis=0)
         self.speed_floor = STILL_SPEED * np.sqrt((legs * legs).sum(axis=1)).sum()
 
     def derivatives(self, span, x, second: bool = True):

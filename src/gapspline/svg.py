@@ -59,13 +59,17 @@ def render_svg(
         geo = [(moved[2 * i], moved[2 * i + 1], cls, color)
                for i, (_, cls, color) in enumerate(curves)]
         panels.append((geo, label, lo[0] + shift, lo[1], hi[0] + shift, hi[1]))
-        offset += (hi[0] - lo[0]) * 1.15 + 1e-9
+        offset += (hi[0] - lo[0]) * 1.15
 
     lo_x = min(p[2] for p in panels)
     lo_y = min(p[3] for p in panels)
     hi_x = max(p[4] for p in panels)
     hi_y = max(p[5] for p in panels)
-    span = max(hi_x - lo_x, hi_y - lo_y, 1e-6)
+    # relative, so that the picture is the same at every scale; a scene's
+    # boundary points differ, so its span is positive
+    span = max(hi_x - lo_x, hi_y - lo_y)
+    if not span > 0.0:
+        raise InvalidArgument("nothing to draw: every point of the curves coincides")
     margin = 0.05 * span
     vb = (lo_x - margin, lo_y - margin, hi_x - lo_x + 2 * margin, hi_y - lo_y + 2 * margin)
     stroke = 0.006 * span

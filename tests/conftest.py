@@ -107,6 +107,18 @@ def insert_knot(curve, u):
     return BSplineCurve(KnotVector(kn[: s + 1] + (u,) + kn[s + 1 :], k), np.array(q))
 
 
+def random_knot_curves(rng: np.random.Generator):
+    """Planar curves of degrees 1-5 and 1-6 pieces with random interior
+    knots, each followed by itself refined by one knot."""
+    for degree in range(1, 6):
+        for pieces in range(1, 7):
+            interior = tuple(np.sort(rng.uniform(0.02, 0.98, pieces - 1)))
+            kv = KnotVector((0.0,) * (degree + 1) + interior + (1.0,) * (degree + 1), degree)
+            curve = BSplineCurve(kv, rng.normal(scale=3.0, size=(kv.point_count, 2)))
+            yield curve
+            yield insert_knot(curve, float(rng.uniform(0.01, 0.99)))
+
+
 def shipped_layout(name: str):
     """The layout `gapspline solve` builds for a shipped scene, and the
     scene's Lagrangian text."""

@@ -27,9 +27,10 @@ from gapspline import (
     signed_curvature,
     target_inflections,
 )
+from gapspline import planner
 from gapspline.planner import GAUSS_NODES, GAUSS_ORDER, GAUSS_WEIGHTS, _ArcLength, _Hodograph
 
-from conftest import CUBIC, SCENES_DIR, insert_knot, random_rotation
+from conftest import CUBIC, SCENES_DIR, insert_knot, random_knot_curves, random_rotation
 
 PLANAR_SCENES = ("example1", "example2", "mul_0_1", "mul_1_1")
 
@@ -360,6 +361,23 @@ def test_span_polynomials_match_the_evaluator_on_non_uniform_knots():
                               ((ddx / width, ddy / width), curve.derivative(t, 2))):
                 error = np.abs(np.stack(got, axis=-1) - want).max()
                 assert error <= 1e-13 * np.abs(want).max()
+
+
+def test_hodograph_from_the_factor_memo_is_bit_for_bit_the_uncached_one(monkeypatch):
+    curves = list(random_knot_curves(np.random.default_rng(43)))
+
+    def tables(curve):
+        hodograph = _Hodograph(curve)
+        return [a.view(np.int64) for a in (hodograph.rows, hodograph.breaks, hodograph.widths)]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(planner, "_KNOT_TABLES", planner._knot_factors)
+        want = [tables(curve) for curve in curves]
+    for curve, expected in zip(curves, want):
+        planner._KNOT_TABLES.tables.clear()
+        for _ in range(2):  # a cold memo, then a warm one
+            assert all((got == w).all() for got, w in zip(tables(curve), expected))
+        assert all(not a.flags.writeable for a in planner._KNOT_TABLES.tables[curve.knots,])
 
 
 @pytest.mark.parametrize("name", PLANAR_SCENES)

@@ -1,9 +1,16 @@
-import numpy as np
+import re
 
-from gapspline import BSplineCurve, make_knot_vector, render_svg
+import numpy as np
+import pytest
+
+from gapspline import BSplineCurve, InvalidArgument, make_knot_vector, read_scene, render_svg
 from gapspline.svg import _path, _points_attr
 
-from conftest import CUBIC, LEFT_2D, LEFT_3D, RIGHT_2D, RIGHT_3D
+from conftest import CUBIC, LEFT_2D, LEFT_3D, RIGHT_2D, RIGHT_3D, SCENES_DIR
+
+# attributes that hold lengths in the drawing's own units
+LENGTHS = {"viewBox", "d", "points", "stroke-width", "stroke-dasharray", "x", "y", "font-size"}
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?")
 
 
 def _pair(points_l, points_r):
@@ -71,3 +78,33 @@ def test_polyline_text_keeps_six_significant_digits_at_the_edges():
     assert _points_attr(points) == "0,-0 1e-300,-1e-08 1.23457e+08,1.5e+08 0.123457,-2.5 7,1e-05"
     assert _path(points[:1]) == "M 0 -0"
     assert _points_attr(points[2:3]) == "1.23457e+08,1.5e+08"
+
+
+def _attributes(svg):
+    """(name, numbers) of every numeric attribute, in document order."""
+    return [(name, np.array([float(x) for x in NUMBER.findall(value)]))
+            for name, value in re.findall(r'([\w-]+)="([^"#]*)"', svg)
+            if name not in ("version", "encoding", "xmlns", "class", "fill")]
+
+
+@pytest.mark.parametrize("exponent", [-30, 20])
+@pytest.mark.parametrize("name", ["example1", "example3"])
+def test_render_draws_the_same_picture_at_every_scale(name, exponent):
+    scene = read_scene((SCENES_DIR / f"{name}.json").read_text()).scene
+    scale = 2.0**exponent
+    unit = _attributes(render_svg(scene.left, scene.right))
+    scaled = _attributes(render_svg(scene.left.transformed(scene.left.points * scale),
+                                    scene.right.transformed(scene.right.points * scale)))
+    assert [name for name, _ in scaled] == [name for name, _ in unit]
+    span = unit[0][1][2:].max()  # the viewBox's larger side
+    for (name, got), (_, want) in zip(scaled, unit):
+        if name in LENGTHS:
+            np.testing.assert_allclose(got / scale, want, rtol=1e-5, atol=1e-5 * span)
+        else:  # the picture's width and height
+            np.testing.assert_allclose(got, want, rtol=1e-5)
+
+
+def test_render_refuses_a_drawing_with_no_extent():
+    dot = BSplineCurve(CUBIC, [(0.0, 0.0)] * 4)
+    with pytest.raises(InvalidArgument):
+        render_svg(dot, dot)
