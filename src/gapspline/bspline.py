@@ -133,11 +133,11 @@ def hodograph(knots: tuple[float, ...], degree: int, points: np.ndarray) -> tupl
 
 class TableMemo:
     """The tables ``build(*key)`` returns, tuples of arrays made read-only,
-    for the ``entries`` keys used last; a table of more than ``table_bytes``
-    is built and returned but not kept."""
+    for the ``MEMO_ENTRIES`` keys used last; a table of more than
+    ``MEMO_TABLE_BYTES`` is built and returned but not kept."""
 
-    def __init__(self, build, entries: int, table_bytes: int):
-        self.build, self.entries, self.table_bytes = build, entries, table_bytes
+    def __init__(self, build):
+        self.build = build
         self.tables = {}  # in order of last use
         self.lock = threading.Lock()
 
@@ -150,10 +150,10 @@ class TableMemo:
         table = self.build(*key)
         for array in table:
             array.setflags(write=False)
-        if sum(array.nbytes for array in table) <= self.table_bytes:
+        if sum(array.nbytes for array in table) <= MEMO_TABLE_BYTES:
             with self.lock:
                 self.tables[key] = table
-                while len(self.tables) > self.entries:
+                while len(self.tables) > MEMO_ENTRIES:
                     del self.tables[next(iter(self.tables))]
         return table
 
@@ -179,7 +179,7 @@ def _sample_table(knots: KnotVector, count: int) -> tuple:
     return _span_table(knots.knots, knots.degree, np.linspace(0.0, 1.0, count))
 
 
-_SAMPLE_TABLES = TableMemo(_sample_table, MEMO_ENTRIES, MEMO_TABLE_BYTES)
+_SAMPLE_TABLES = TableMemo(_sample_table)
 
 
 def _evaluate(knots: tuple[float, ...], degree: int, points: np.ndarray, t, order: int):

@@ -47,8 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lagrangian", help="Lagrangian DSL text (overrides the scene file)")
     p.add_argument("--degree", type=int, help="solution curve degree")
     p.add_argument("--pieces", type=int, help="solution curve piece count")
-    p.add_argument("--tol", type=float, default=1e-10, help="residual max-norm tolerance")
-    p.add_argument("--max-iters", type=int, default=100, help="Newton iteration cap")
+    p.add_argument("--tol", type=float, default=SolverConfig.tol, help="residual max-norm tolerance")
+    p.add_argument("--max-iters", type=int, default=SolverConfig.max_iters, help="Newton iteration cap")
     p.add_argument(
         "--compat-eq7-literal",
         action="store_true",

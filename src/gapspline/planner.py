@@ -29,8 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bspline import (
-    MEMO_ENTRIES,
-    MEMO_TABLE_BYTES,
     BSplineCurve,
     KnotVector,
     TableMemo,
@@ -115,7 +113,7 @@ def _knot_factors(knots: KnotVector) -> tuple:
     return (hodograph_denominators(knots.knots, p), breaks, widths, span + np.arange(p), *factors)
 
 
-_KNOT_TABLES = TableMemo(_knot_factors, MEMO_ENTRIES, MEMO_TABLE_BYTES)
+_KNOT_TABLES = TableMemo(_knot_factors)
 
 
 class _Hodograph:
@@ -128,13 +126,17 @@ class _Hodograph:
     coefficients: each point carries its coefficients of x**0 ... x**(p-1),
     and each affine step d[m-1] + alpha (d[m] - d[m-1]), alpha = c0 + c1 x,
     is a scalar multiply plus a one-place shift.  f'' is that polynomial's
-    derivative over h.
+    derivative over h.  Both are kept over 2**exponent, the binary scale of
+    the largest leg coordinate, so |f'|**3 stays in range at any units; a
+    power of two scales every value in range exactly.
     """
 
     def __init__(self, curve: BSplineCurve):
         p = curve.degree
         den, self.breaks, self.widths, gather, *factors = _KNOT_TABLES(curve.knots)
         legs = np.diff(curve.points, axis=0)
+        self.exponent = int(np.frexp(np.max(np.abs(legs)))[1])
+        legs = np.ldexp(legs, -self.exponent)
         points = p * legs / den  # the hodograph's
         # d[i, m, k]: coefficient of x**k of de Boor point m on span i
         d = np.zeros((len(self.widths), p, p, curve.dim))
@@ -149,9 +151,9 @@ class _Hodograph:
         self.speed_floor = STILL_SPEED * np.sqrt((legs * legs).sum(axis=1)).sum()
 
     def derivatives(self, span, x, second: bool = True):
-        """x', y', x'' and y'' at x on the given spans (1-D arrays of one
-        length), f' per unit t and f'' per unit t and x; f'' is 0 unless
-        ``second``."""
+        """x', y', x'' and y'' over 2**exponent at x on the given spans (1-D
+        arrays of one length), f' per unit t and f'' per unit t and x; f''
+        is 0 unless ``second``."""
         g = self.rows[span].T
         dx, dy, ddx, ddy = g[-2], g[-1], 0.0, 0.0
         for k in range(len(g) // 2 - 2, -1, -1):  # Horner for a value and its derivative
@@ -174,7 +176,8 @@ class _Hodograph:
         speed_sq = dx * dx + dy * dy
         denom = speed_sq * np.sqrt(speed_sq) * width  # array and scalar ** 1.5 can differ
         cross = dx * ddy - dy * ddx
-        return np.divide(cross, denom, out=np.zeros(len(t)), where=speed_sq > self.speed_floor**2)
+        kappa = np.divide(cross, denom, out=np.zeros(len(t)), where=speed_sq > self.speed_floor**2)
+        return np.ldexp(kappa, -self.exponent)
 
 
 class _ArcLength:
@@ -213,7 +216,7 @@ class _ArcLength:
         order = np.argsort(left)
         self.panels = left[order], size[order]
         self.cumulative = np.concatenate(([0.0], np.cumsum(length[order])))
-        self.total = float(self.cumulative[-1])
+        self.total = float(np.ldexp(self.cumulative[-1], hodograph.exponent))
 
     def _lengths(self, left, size: float) -> np.ndarray:
         """Gauss–Legendre arc lengths of the panels of the given size at
@@ -237,6 +240,7 @@ class _ArcLength:
             return 0.0
         if s >= self.total:
             return 1.0
+        s = float(np.ldexp(s, -self.hodograph.exponent))  # in the hodograph's units
         k = int(np.searchsorted(self.cumulative, s, side="right")) - 1
         left, size = float(self.panels[0][k]), float(self.panels[1][k])
         span = int(left)

@@ -99,32 +99,23 @@ def default_initial_guess(layout: UnknownLayout) -> np.ndarray:
     return u
 
 
-def start_grid(layout: UnknownLayout, config: SolverConfig) -> list[np.ndarray]:
-    """Deterministic multistart points, in ranking order.
+def start_grid(layout: UnknownLayout, config: SolverConfig) -> np.ndarray:
+    """Deterministic multistart points (k, m), one per row, in ranking order.
 
-    (alpha0, beta0) each scaled by 0.5, 1 and 2 (``START_SCALES``); when an
-    opposite-slope tie is active (negative tie scale) the same grid is
-    appended with the interior coordinates' signs flipped, since that case
-    bends the curve across the chord.
+    (alpha0, beta0) each scaled by 0.5, 1 and 2 (``START_SCALES``), alpha's
+    scale the outer loop; when an opposite-slope tie is active (negative tie
+    scale) the same grid is appended with the interior coordinates' signs
+    flipped, since that case bends the curve across the chord.
     """
     base = default_initial_guess(layout)
-    starts = []
-    for sa in START_SCALES:
-        for sb in START_SCALES:
-            u = base.copy()
-            u[0] *= sa
-            u[1] *= sb
-            starts.append(u)
+    scales = np.ones((len(START_SCALES) ** 2, base.size))
+    scales[:, :2] = [(sa, sb) for sa in START_SCALES for sb in START_SCALES]
     if any(tie.scale < 0.0 for tie in layout.ties):
-        for u in list(starts):
-            flipped = u.copy()
-            flipped[2:] = -flipped[2:]
-            starts.append(flipped)
+        scales = np.concatenate([scales, scales * np.r_[1.0, 1.0, -np.ones(base.size - 2)]])
+    starts = base * scales
     if config.seed is not None:
         rng = np.random.default_rng(config.seed)
-        starts = [
-            u + 0.01 * (np.abs(u) + 1.0) * rng.standard_normal(u.shape) for u in starts
-        ]
+        starts += 0.01 * (np.abs(starts) + 1.0) * rng.standard_normal(starts.shape)
     return starts
 
 
@@ -152,13 +143,14 @@ def newton_lockstep(system: ResidualSystem, starts: np.ndarray, config: SolverCo
     ``LADDER`` that lowers the start's residual max-norm.  The full step
     comes first: one jet covers every running start's ``u + delta`` as plain
     (k, m) rows, and a second covers the rest of the ladder, (k, 30, m), for
-    the starts it did not lower; no jet is made on an empty batch.  A start
-    takes the first lowering step, and keeps that point's residual, Jacobian
-    and norm; the norm returned is the returned point's.  A start runs on
-    while its norm is above tol and below ``STALL_FACTOR`` times its norm
-    ``STALL_WINDOW`` iterations earlier, its step is finite and the ladder
-    lowers its norm.  Its iteration count is the number of steps it took,
-    and it has converged when its final norm is within tol.
+    the starts it did not lower; no jet is made on an empty batch.  Each
+    start's step is written in one place: the first lowering step, with that
+    point's residual, Jacobian and norm; the norm returned is the returned
+    point's.  A start runs on while its norm is above tol and below
+    ``STALL_FACTOR`` times its norm ``STALL_WINDOW`` iterations earlier, its
+    step is finite and the ladder lowers its norm.  Its iteration count is
+    the number of steps it took, and it has converged when its final norm is
+    within tol.
     """
     u = np.array(starts, dtype=float)
     _, r, jac = system.jet(u)
@@ -178,36 +170,30 @@ def newton_lockstep(system: ResidualSystem, starts: np.ndarray, config: SolverCo
         history[iteration % STALL_WINDOW] = norm
         delta = _newton_steps(jac[live], r[live])
         finite = np.isfinite(delta).all(axis=-1)
-        # the starts still looking for a lowering step, and their steps
-        seek, delta = live[finite], delta[finite]
-        if seek.size:
-            # the full step, on plain rows: 1.0 * delta is delta
-            trial = u[seek] + delta
-            _, r_trial, jac_trial = system.jet(trial)
-            norm_trial = np.max(np.abs(r_trial), axis=-1)
-            lower = norm_trial < norm[seek]
-            to = seek[lower]
-            u[to] = trial[lower]
-            r[to] = r_trial[lower]
-            jac[to] = jac_trial[lower]
-            norm[to] = norm_trial[lower]
-            iterations[to] += 1
-            seek, delta = seek[~lower], delta[~lower]
-        if seek.size:
-            # the rest of the ladder, for the starts the full step did not lower
-            trial = u[seek, None] + LADDER[1:, None] * delta[:, None]
-            _, r_trial, jac_trial = system.jet(trial)
-            norm_trial = np.max(np.abs(r_trial), axis=-1)
-            lower = norm_trial < norm[seek, None]
-            hit = np.flatnonzero(lower.any(axis=-1))
-            first = lower[hit].argmax(axis=-1)
-            to = seek[hit]
-            u[to] = trial[hit, first]
-            r[to] = r_trial[hit, first]
-            jac[to] = jac_trial[hit, first]
-            norm[to] = norm_trial[hit, first]
-            iterations[to] += 1
-        live = live[iterations[live] > iteration]
+        live, delta = live[finite], delta[finite]
+        if not live.size:
+            break
+        # the full step, on plain rows: 1.0 * delta is delta
+        trial = u[live] + delta
+        _, r_trial, jac_trial = system.jet(trial)
+        norm_trial = np.max(np.abs(r_trial), axis=-1)
+        before = norm[live]
+        seek = ~(norm_trial < before)
+        if seek.any():
+            # the rest of the ladder, for the starts the full step did not
+            # lower; each keeps its first lowering step, or its first step
+            ladder = u[live[seek], None] + LADDER[1:, None] * delta[seek, None]
+            _, r_ladder, jac_ladder = system.jet(ladder)
+            norm_ladder = np.max(np.abs(r_ladder), axis=-1)
+            at = np.arange(len(ladder)), (norm_ladder < before[seek, None]).argmax(axis=-1)
+            trial[seek], r_trial[seek], jac_trial[seek] = ladder[at], r_ladder[at], jac_ladder[at]
+            norm_trial[seek] = norm_ladder[at]
+        lower = norm_trial < before
+        live = live[lower]
+        u[live], r[live], jac[live], norm[live] = (
+            trial[lower], r_trial[lower], jac_trial[lower], norm_trial[lower]
+        )
+        iterations[live] += 1
     return u, iterations, norm <= config.tol, norm
 
 

@@ -111,7 +111,8 @@ def test_count_rejects_bad_arguments():
 
 
 def test_count_rejects_a_curve_whose_length_overflows():
-    s = _curve(np.array([(0.0, 0.0), (1.0, 2.0), (2.0, -2.0), (3.0, 0.0)]) * 1e307)
+    # legs of 3e308 overflow
+    s = _curve(np.array([(-1.0, 0.0), (1.0, 1.0), (-1.0, -1.0), (1.0, 0.0)]) * 1.5e308)
     with np.errstate(all="ignore"), pytest.raises(InvalidArgument, match="not finite"):
         count_inflections(s, 1e307)
 
@@ -355,7 +356,10 @@ def test_span_polynomials_match_the_evaluator_on_non_uniform_knots():
             t = np.concatenate([rng.uniform(0.0, 1.0, 200), hodograph.breaks])
             span = np.minimum(np.searchsorted(hodograph.breaks, t, side="right"), pieces) - 1
             width = hodograph.widths[span]
-            dx, dy, ddx, ddy = hodograph.derivatives(span, (t - hodograph.breaks[span]) / width)
+            dx, dy, ddx, ddy = (
+                np.ldexp(v, hodograph.exponent)
+                for v in hodograph.derivatives(span, (t - hodograph.breaks[span]) / width)
+            )
             # f'' is per unit t and x; the evaluator's is per unit t squared
             for got, want in (((dx, dy), curve.derivative(t, 1)),
                               ((ddx / width, ddy / width), curve.derivative(t, 2))):
@@ -424,10 +428,25 @@ def test_low_degree_and_zero_speed_curves_count_no_spurious_inflections():
     assert abs(_reference_arc(cusp, t) - arc.total / 2) <= 1e-12 * arc.total
 
 
+def test_curvature_and_counts_scale_exactly_to_the_ends_of_the_float_range():
+    # f' is kept over a power of two, so at 2**k units kappa is the unit
+    # curve's times 2**-k, bit for bit, and the counts are the unit curve's
+    t = np.linspace(0.0, 1.0, 101)
+    for curve in random_knot_curves(np.random.default_rng(29)):
+        window = 0.5 * _ArcLength(_Hodograph(curve)).total
+        kappa = signed_curvature(curve, t)
+        counts = [count_inflections(curve, window, end) for end in ("tail", "head")]
+        for k in (-900, 900):
+            scaled = BSplineCurve(curve.knots, np.ldexp(curve.points, k))
+            assert signed_curvature(scaled, t).tobytes() == np.ldexp(kappa, -k).tobytes()
+            assert [count_inflections(scaled, np.ldexp(window, k), end)
+                    for end in ("tail", "head")] == counts
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(
     st.sampled_from(PLANAR_SCENES),
-    st.floats(-12.0, 12.0),
+    st.floats(-140.0, 140.0),
     st.floats(-np.pi, np.pi),
     st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
 )

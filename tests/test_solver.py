@@ -131,6 +131,8 @@ def test_start_grid_is_nine_points(scene_2d):
     layout = build_layout(normalize_scene(scene_2d))
     starts = start_grid(layout, SolverConfig())
     assert len(starts) == 9
+    assert isinstance(starts, np.ndarray) and starts.dtype == float
+    assert starts.shape == (9, layout.unknown_count)
     base = default_initial_guess(layout)
     np.testing.assert_allclose(starts[4], base)  # middle of the 3x3 grid
     np.testing.assert_allclose(starts[0], [0.5 * base[0], 0.5 * base[1]])
@@ -141,6 +143,8 @@ def test_start_grid_doubles_for_sign_flipping_ties(scene_2d):
     layout = build_layout(normalize_scene(scene_2d.with_topology(3, 2)), (case2_tie(),))
     starts = start_grid(layout, SolverConfig())
     assert len(starts) == 18
+    assert isinstance(starts, np.ndarray) and starts.dtype == float
+    assert starts.shape == (18, layout.unknown_count)
     np.testing.assert_allclose(starts[9][:2], starts[0][:2])
     np.testing.assert_allclose(starts[9][2:], -starts[0][2:])
 
