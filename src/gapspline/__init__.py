@@ -1,9 +1,9 @@
 """gapspline: reconstruct the occluded piece of a B-spline curve.
 
 Given two visible B-spline curves separated by a gap, compute the control
-points of a connecting curve that extremizes a user-chosen Lagrangian in
-Euclidean difference invariants, in 2D or 3D.  See the README for the
-Lagrangian DSL and the command-line interface.
+points of a connecting curve that makes a user-chosen Lagrangian in
+Euclidean difference invariants stationary, in 2D or 3D.  See the README
+for the Lagrangian DSL and the command-line interface.
 """
 
 from .bspline import BSplineCurve, KnotVector, make_knot_vector

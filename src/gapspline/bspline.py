@@ -10,19 +10,21 @@ without the two end ones (de Boor, *A Practical Guide to Splines*, ch. X).
 
 The span rows and basis values depend on the knots and t alone, and
 ``sample(count)`` always evaluates at linspace(0, 1, count): it keeps that
-table per (knot vector, count) in a bounded memo and only gathers and sums
-the control points per call, with the bits of ``point``.
+table as read-only arrays in a ``functools.lru_cache`` of ``MEMO_ENTRIES``
+(knot vector, count) keys unless it exceeds ``MEMO_TABLE_BYTES``, and only
+gathers and sums the control points per call, with the bits of ``point``.
+Two threads that miss on one key may both build it, with the same bits.
 """
 
-import threading
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgument
 
-# bounds of each memo of knot-only tables: how many it keeps, and the
-# largest table it keeps (sample(256) on a degree-7 curve)
+# how many knot-only tables each cache keeps, and the largest table sample()
+# keeps (sample(256) on a degree-7 curve)
 MEMO_ENTRIES = 16
 MEMO_TABLE_BYTES = 32 * 1024
 
@@ -80,11 +82,6 @@ class KnotVector:
             raise InvalidArgument("interior knots must lie strictly inside (0, 1)")
         if not np.isfinite(kn).all():  # a NaN in an end run passes every test above
             raise InvalidArgument("knots must be finite")
-        # hashed once: a knot vector keys the evaluation memos on every call
-        object.__setattr__(self, "_hash", hash((kn, k)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def point_count(self) -> int:
@@ -131,31 +128,11 @@ def hodograph(knots: tuple[float, ...], degree: int, points: np.ndarray) -> tupl
     return knots[1:-1], degree - 1, degree * np.diff(points, axis=0) / den
 
 
-class TableMemo:
-    """The tables ``build(*key)`` returns, tuples of arrays made read-only,
-    for the ``MEMO_ENTRIES`` keys used last; a table of more than
-    ``MEMO_TABLE_BYTES`` is built and returned but not kept."""
-
-    def __init__(self, build):
-        self.build = build
-        self.tables = {}  # in order of last use
-        self.lock = threading.Lock()
-
-    def __call__(self, *key) -> tuple:
-        with self.lock:
-            table = self.tables.pop(key, None)
-            if table is not None:
-                self.tables[key] = table
-                return table
-        table = self.build(*key)
-        for array in table:
-            array.setflags(write=False)
-        if sum(array.nbytes for array in table) <= MEMO_TABLE_BYTES:
-            with self.lock:
-                self.tables[key] = table
-                while len(self.tables) > MEMO_ENTRIES:
-                    del self.tables[next(iter(self.tables))]
-        return table
+def read_only(*arrays) -> tuple:
+    """The arrays, made read-only, as a tuple: a cached table is shared."""
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
 
 
 def _span_table(knots: tuple[float, ...], degree: int, t: np.ndarray) -> tuple:
@@ -175,11 +152,9 @@ def _combine(rows: np.ndarray, basis: np.ndarray, points: np.ndarray) -> np.ndar
     return sum(basis * points[rows], 0.0)
 
 
+@functools.lru_cache(maxsize=MEMO_ENTRIES)
 def _sample_table(knots: KnotVector, count: int) -> tuple:
-    return _span_table(knots.knots, knots.degree, np.linspace(0.0, 1.0, count))
-
-
-_SAMPLE_TABLES = TableMemo(_sample_table)
+    return read_only(*_span_table(knots.knots, knots.degree, np.linspace(0.0, 1.0, count)))
 
 
 def _evaluate(knots: tuple[float, ...], degree: int, points: np.ndarray, t, order: int):
@@ -237,8 +212,10 @@ class BSplineCurve:
         """(count, dim) polyline at uniform parameters including both ends."""
         if not (is_integer(count) and count >= 2):
             raise InvalidArgument(f"sample count must be an integer >= 2, got {count!r}")
-        # the same bits as point(np.linspace(0.0, 1.0, count))
-        return _combine(*_SAMPLE_TABLES(self.knots, count), self.points)
+        # point(np.linspace(0.0, 1.0, count))'s bits; 16 bytes a term (weight, row)
+        fits = 16 * (self.degree + 1) * count <= MEMO_TABLE_BYTES
+        build = _sample_table if fits else _sample_table.__wrapped__
+        return _combine(*build(self.knots, count), self.points)
 
     def transformed(self, points: np.ndarray) -> "BSplineCurve":
         """Same knots, new control points."""

@@ -37,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="gapspline",
         description="Reconstruct the hidden piece of an occluded B-spline curve "
-        "by extremizing a Lagrangian in difference invariants.",
+        "that makes a Lagrangian in difference invariants stationary.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -11,9 +11,11 @@ drift.  More than one extra point is out of scope and reported as such.
 Each curve is read from its control points, with no evaluator call: f' on
 every knot span [a, a + h] of a degree-p curve is a polynomial in
 x = (t - a) / h, whose coefficients come from de Boor's algorithm on the
-hodograph run with x kept symbolic; its factors depend on the knots
-alone and are kept per knot vector.  The speed, f'' and the
-signed curvature come from those polynomials, arc length from adaptive
+hodograph run with x kept symbolic.  Its factors depend on the knots alone,
+and a ``functools.lru_cache`` keeps them, read-only and whatever their size,
+for the MEMO_ENTRIES knot vectors used last; two threads that miss on one
+may both build them, with the same bits.  The speed, f'' and the signed
+curvature come from those polynomials, arc length from adaptive
 Gauss–Legendre quadrature of |f'|, and the window's end parameter from
 Newton's method on the arc length (Guenter & Parent, "Computing the arc
 length of parametric curves", IEEE CG&A 1990).  Both flat rules are
@@ -23,17 +25,19 @@ FLAT_CURVATURE, and kappa is 0 where |f'| is at most STILL_SPEED times the
 length of the control polygon.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bspline import (
+    MEMO_ENTRIES,
     BSplineCurve,
     KnotVector,
-    TableMemo,
     hodograph_denominators,
     parameter_array,
+    read_only,
 )
 from .errors import InvalidArgument, UnsupportedComplexity
 from .system import CoordinateTie, NormalizedScene, case1_tie, case2_tie
@@ -95,6 +99,7 @@ SPLIT_NODES = np.concatenate([GAUSS_NODES, 1.0 + GAUSS_NODES, 2.0 * GAUSS_NODES]
 END_NODES = np.append(GAUSS_NODES, 1.0)
 
 
+@functools.lru_cache(maxsize=MEMO_ENTRIES)
 def _knot_factors(knots: KnotVector) -> tuple:
     """What _Hodograph takes from the knots alone: the hodograph's
     denominators, the breaks and widths of its spans, the rows of each span's
@@ -110,10 +115,7 @@ def _knot_factors(knots: KnotVector) -> tuple:
         den = kn[span + np.arange(p, 2 * p - r)] - lo
         factors.append(((breaks[:-1, None] - lo) / den)[:, :, None, None])
         factors.append((widths[:, None] / den)[:, :, None, None])
-    return (hodograph_denominators(knots.knots, p), breaks, widths, span + np.arange(p), *factors)
-
-
-_KNOT_TABLES = TableMemo(_knot_factors)
+    return read_only(hodograph_denominators(knots.knots, p), breaks, widths, span + np.arange(p), *factors)
 
 
 class _Hodograph:
@@ -133,7 +135,7 @@ class _Hodograph:
 
     def __init__(self, curve: BSplineCurve):
         p = curve.degree
-        den, self.breaks, self.widths, gather, *factors = _KNOT_TABLES(curve.knots)
+        den, self.breaks, self.widths, gather, *factors = _knot_factors(curve.knots)
         legs = np.diff(curve.points, axis=0)
         self.exponent = int(np.frexp(np.max(np.abs(legs)))[1])
         legs = np.ldexp(legs, -self.exponent)

@@ -204,9 +204,10 @@ def newton(system: ResidualSystem, u0: np.ndarray, config: SolverConfig):
     Python scalars.  Each step is the full Newton step when that lowers the
     residual max-norm, and otherwise the first of ``LADDER`` (1/2, 1/4, ...,
     2**-30) that does; when none does, or when the norm has not halved over
-    the last ``STALL_WINDOW`` iterations, the start has failed.  Since a
-    row's jet does not depend on its batch, a start's path here is the one
-    it takes among others in ``newton_lockstep``, bit for bit.
+    the last ``STALL_WINDOW`` iterations, the start has failed.  A start's
+    path here is its path among others in ``newton_lockstep``, bit for bit,
+    where a row's jet does not depend on its batch: under the Haswell,
+    Sandybridge and SkylakeX OpenBLAS kernels, not Prescott (ROADMAP item 15).
     """
     u, iterations, converged, norm = newton_lockstep(
         system, np.asarray(u0, dtype=float)[None], config

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from gapspline.bspline import (
-    _SAMPLE_TABLES,
     MEMO_ENTRIES,
     MEMO_TABLE_BYTES,
     BSplineCurve,
     KnotVector,
+    _sample_table,
     make_knot_vector,
 )
 from gapspline.errors import InvalidArgument
@@ -405,11 +405,12 @@ def test_sample_is_point_bit_for_bit_on_a_cold_and_a_warm_memo(count):
     rng = np.random.default_rng(31)
     ts = np.linspace(0.0, 1.0, count)
     for curve in random_knot_curves(rng):
-        _SAMPLE_TABLES.tables.clear()
+        _sample_table.cache_clear()
         want = _bits(curve.point(ts))
         assert (_bits(curve.sample(count)) == want).all()  # cold
-        assert (curve.knots, count) in _SAMPLE_TABLES.tables
+        assert _sample_table.cache_info()[:2] == (0, 1)  # (hits, misses)
         assert (_bits(curve.sample(count)) == want).all()  # warm
+        assert _sample_table.cache_info()[:2] == (1, 1)
         # the memo keeps the knots' part only: other points, same knots
         other = curve.transformed(rng.normal(size=curve.points.shape))
         assert (_bits(other.sample(count)) == _bits(other.point(ts))).all()
@@ -423,22 +424,27 @@ def test_knot_vectors_equal_under_eq_share_one_entry_and_its_bits():
     points = rng.normal(size=(positive.point_count, 2))
     want = _bits(BSplineCurve(positive, points).point(np.linspace(0.0, 1.0, 101)))
     for order in ((positive, negative), (negative, positive)):
-        _SAMPLE_TABLES.tables.clear()
+        _sample_table.cache_clear()
         for kv in order:
             assert (_bits(BSplineCurve(kv, points).sample(101)) == want).all()
-        assert len(_SAMPLE_TABLES.tables) == 1
+        assert _sample_table.cache_info()[:2] == (1, 1)
+        assert _sample_table.cache_info().currsize == 1
 
 
 def test_memo_tables_are_read_only():
-    BSplineCurve(make_knot_vector(3, 2), np.zeros((5, 2))).sample(101)
-    for table in _SAMPLE_TABLES.tables.values():
+    kv = make_knot_vector(3, 2)
+    _sample_table.cache_clear()
+    BSplineCurve(kv, np.zeros((5, 2))).sample(101)
+    # the cached table, and one built past the size bound
+    for table in (_sample_table(kv, 101), _sample_table.__wrapped__(kv, 1000)):
         for array in table:
             with pytest.raises(ValueError):
                 array[...] = 0
+    assert _sample_table.cache_info()[:2] == (1, 1)
 
 
 def test_memo_keeps_at_most_its_entries_and_drops_the_least_recently_used():
-    _SAMPLE_TABLES.tables.clear()
+    _sample_table.cache_clear()
     vectors = [
         KnotVector((0.0,) * 4 + ((i + 1) / (MEMO_ENTRIES + 7),) + (1.0,) * 4, 3)
         for i in range(MEMO_ENTRIES + 5)
@@ -447,18 +453,23 @@ def test_memo_keeps_at_most_its_entries_and_drops_the_least_recently_used():
     for kv in vectors:
         first.sample(2)  # kept in use, so never the one dropped
         BSplineCurve(kv, np.zeros((5, 2))).sample(2)
-        assert len(_SAMPLE_TABLES.tables) <= MEMO_ENTRIES
-    assert len(_SAMPLE_TABLES.tables) == MEMO_ENTRIES
-    assert (vectors[0], 2) in _SAMPLE_TABLES.tables
-    assert (vectors[1], 2) not in _SAMPLE_TABLES.tables
+        assert _sample_table.cache_info().currsize <= MEMO_ENTRIES
+    info = _sample_table.cache_info()
+    assert info.currsize == MEMO_ENTRIES
+    first.sample(2)  # a hit
+    assert _sample_table.cache_info()[:2] == (info.hits + 1, info.misses)
+    BSplineCurve(vectors[1], np.zeros((5, 2))).sample(2)  # dropped: a miss
+    assert _sample_table.cache_info()[:2] == (info.hits + 1, info.misses + 1)
 
 
 def test_a_sample_above_the_table_bound_is_computed_but_not_kept():
     rng = np.random.default_rng(41)
     curve = BSplineCurve(make_knot_vector(3, 4), rng.normal(size=(7, 2)))
     largest = MEMO_TABLE_BYTES // (4 * 16)  # a weight and a row index per term
-    _SAMPLE_TABLES.tables.clear()
-    for count in (largest + 1, largest):
+    _sample_table.cache_clear()
+    for count in (largest + 1, largest, largest + 1, largest):
         want = _bits(curve.point(np.linspace(0.0, 1.0, count)))
         assert (_bits(curve.sample(count)) == want).all()
-    assert list(_SAMPLE_TABLES.tables) == [(curve.knots, largest)]
+    # largest: a miss, then a hit; largest + 1 never reaches the cache
+    assert _sample_table.cache_info()[:2] == (1, 1)
+    assert _sample_table.cache_info().currsize == 1

@@ -1,6 +1,8 @@
 """Signed curvature, inflection counting, and topology planning."""
 
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from gapspline import (
     target_inflections,
 )
 from gapspline import planner
+from gapspline.bspline import MEMO_ENTRIES, _sample_table
 from gapspline.planner import GAUSS_NODES, GAUSS_ORDER, GAUSS_WEIGHTS, _ArcLength, _Hodograph
 
 from conftest import CUBIC, SCENES_DIR, insert_knot, random_knot_curves, random_rotation
@@ -368,20 +371,72 @@ def test_span_polynomials_match_the_evaluator_on_non_uniform_knots():
 
 
 def test_hodograph_from_the_factor_memo_is_bit_for_bit_the_uncached_one(monkeypatch):
-    curves = list(random_knot_curves(np.random.default_rng(43)))
+    rng = np.random.default_rng(43)
+    curves = list(random_knot_curves(rng))
+    # equal knot vectors, as distinct objects and with a -0.0 first knot,
+    # share one entry and its bits
+    knots = (0.0,) * 4 + (0.3, 0.6) + (1.0,) * 4
+    points = rng.normal(size=(6, 2))
+    equal = [BSplineCurve(KnotVector((first,) + knots[1:], 3), points) for first in (0.0, 0.0, -0.0)]
+    assert equal[0].knots is not equal[1].knots and np.signbit(equal[2].knots.knots[0])
 
     def tables(curve):
         hodograph = _Hodograph(curve)
         return [a.view(np.int64) for a in (hodograph.rows, hodograph.breaks, hodograph.widths)]
 
     with monkeypatch.context() as patch:
-        patch.setattr(planner, "_KNOT_TABLES", planner._knot_factors)
-        want = [tables(curve) for curve in curves]
+        patch.setattr(planner, "_knot_factors", planner._knot_factors.__wrapped__)
+        want = [tables(curve) for curve in curves + equal]
     for curve, expected in zip(curves, want):
-        planner._KNOT_TABLES.tables.clear()
-        for _ in range(2):  # a cold memo, then a warm one
+        planner._knot_factors.cache_clear()
+        for hits in range(2):  # a cold memo, then a warm one
             assert all((got == w).all() for got, w in zip(tables(curve), expected))
-        assert all(not a.flags.writeable for a in planner._KNOT_TABLES.tables[curve.knots,])
+            assert planner._knot_factors.cache_info()[:2] == (hits, 1)
+        assert all(not a.flags.writeable for a in planner._knot_factors(curve.knots))
+    planner._knot_factors.cache_clear()
+    for curve, expected in zip(equal, want[len(curves):]):
+        assert all((got == w).all() for got, w in zip(tables(curve), expected))
+    assert (want[-1][0] == want[-3][0]).all()  # the -0.0 knot's rows
+    info = planner._knot_factors.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
+
+
+def test_both_caches_give_the_single_threaded_bits_under_four_threads():
+    """24 knot vectors, more than the caches keep, so entries are dropped
+    while other threads read them; threads switch every microsecond."""
+    rng = np.random.default_rng(47)
+    curves = []
+    for i in range(24):
+        degree = 1 + i % 5
+        interior = tuple(np.sort(rng.uniform(0.02, 0.98, 1 + i % 4)))
+        kv = KnotVector((0.0,) * (degree + 1) + interior + (1.0,) * (degree + 1), degree)
+        curves.append(BSplineCurve(kv, rng.normal(size=(kv.point_count, 2))))
+
+    def run():
+        arrays = []
+        for _ in range(3):
+            for curve in curves:
+                hodograph = _Hodograph(curve)
+                arrays += [curve.sample(2), curve.sample(101), curve.sample(256),
+                           hodograph.rows, hodograph.breaks, hodograph.widths]
+        return [a.view(np.int64) for a in arrays]
+
+    caches = (_sample_table, planner._knot_factors)
+    for cache in caches:
+        cache.cache_clear()
+    want = run()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            runs = [pool.submit(run) for _ in range(4)]
+            results = [future.result(timeout=60) for future in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    for got in results:
+        assert len(got) == len(want)
+        assert all((g == w).all() for g, w in zip(got, want))
+    assert all(cache.cache_info().currsize <= MEMO_ENTRIES for cache in caches)
 
 
 @pytest.mark.parametrize("name", PLANAR_SCENES)
